@@ -13,109 +13,4 @@ traces, a mid-size prime-order curve for the CRT-based recovery, and
 secp256k1 for realistic-parameter round trips.
 """
 
-from .arith import (
-    ModInt,
-    ResidueSystem,
-    crt_combine,
-    hex_to_int,
-    int_to_hex,
-    is_probable_prime,
-    legendre,
-    mod_inv,
-)
-from .attacks import (
-    AttackReport,
-    PairTable,
-    forward_secrecy_break,
-    invalid_curve_attack,
-    recover_ephemeral,
-    recover_sender_key,
-    scan_with_pair_table,
-    uks_attack,
-    weak_key_audit,
-    zero_r_probe,
-)
-from .curve import (
-    ENUMERATION_LIMIT,
-    INFINITY,
-    CurveParams,
-    InvalidCurvePoint,
-    Point,
-    count_points,
-    curve_from_dict,
-    curve_to_dict,
-    find_invalid_curve_point,
-    is_on_curve,
-    is_singular,
-    point_add,
-    point_from_obj,
-    point_neg,
-    point_order,
-    point_to_obj,
-    scalar_mul,
-    search_prime_order_curve,
-)
-from .errors import (
-    ForcedEphemeralError,
-    HardenedRefusalError,
-    HlsLabError,
-    InvalidEphemeralKeyError,
-    KeyControlError,
-    MismatchedLeakError,
-    NotFoundError,
-    NotInvertibleError,
-    OracleRefusedError,
-    PopInvalidError,
-    PopRequiredError,
-    PublicKeyInvalidError,
-    ResourceLimitError,
-    ZeroHashError,
-)
-from .hls import (
-    ConfirmPolicy,
-    KeyPair,
-    SigncryptedText,
-    confirmation_oracle,
-    gen,
-    keypair_from_dict,
-    keypair_to_dict,
-    signcrypt,
-    signcrypted_from_dict,
-    signcrypted_to_dict,
-    unsigncrypt,
-    validate_ephemeral_point,
-)
-from .pki import (
-    CAPolicy,
-    Certificate,
-    CertificateAuthority,
-    CheckResult,
-    SchnorrSig,
-    ValidationReport,
-    cert_from_dict,
-    cert_to_dict,
-    make_pop,
-    pop_challenge,
-    schnorr_sign,
-    schnorr_verify,
-    validate_certificate,
-    validate_domain_params,
-    validate_public_key,
-    verify_pop,
-)
-from .primitives import (
-    Mode,
-    bytes_to_int,
-    derive_key,
-    field_len,
-    hash_bytes,
-    hash_to_scalar,
-    int_to_bytes,
-    mac,
-    stream_decrypt,
-    stream_encrypt,
-    x_coordinate_bytes,
-)
-from .scenarios import FIXED_NOW, SCENARIOS, default_g_budget
-
 __version__ = "0.1.0"

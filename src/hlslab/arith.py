@@ -1,29 +1,26 @@
 """Arbitrary-precision modular arithmetic.
 
 Everything downstream (curve group law, scheme scalars, CRT key recovery)
-reduces to the handful of primitives here. Values are plain Python ints;
-``ModInt`` wraps one together with its modulus so that mixing mod-q field
-elements with mod-n scalars fails loudly instead of silently.
+reduces to the handful of primitives here. Values are plain Python ints.
+The hex codec and the key check below are shared by every JSON loader.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotInvertibleError
 
 __all__ = [
-    "ModInt",
-    "ResidueSystem",
     "crt_combine",
     "hex_to_int",
     "int_to_hex",
     "is_probable_prime",
-    "legendre",
     "mod_inv",
+    "require_keys",
 ]
 
 _SMALL_PRIMES = (
@@ -52,6 +49,15 @@ def hex_to_int(text: str) -> int:
     return int(text, 16)
 
 
+def require_keys(data: object, keys: Iterable[str], what: str) -> None:
+    """Raise ValueError unless data is a JSON object holding every one of keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = set(keys) - set(data)
+    if missing:
+        raise ValueError(f"{what} missing keys: {sorted(missing)}")
+
+
 def mod_inv(a: int, m: int) -> int:
     """Inverse of ``a`` modulo ``m``.
 
@@ -62,78 +68,6 @@ def mod_inv(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError:
         raise NotInvertibleError(f"{a} is not invertible modulo {m}") from None
-
-
-@dataclass(frozen=True)
-class ModInt:
-    """A residue carried together with its modulus.
-
-    Binary operations check that both operands share a modulus, so a mod-q
-    field element can never be silently combined with a mod-n scalar.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"value {self.value} out of range for modulus {self.modulus}")
-
-    @classmethod
-    def reduce(cls, value: int, modulus: int) -> "ModInt":
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        return cls(value % modulus, modulus)
-
-    def _check_compatible(self, other: "ModInt") -> None:
-        if not isinstance(other, ModInt):
-            raise TypeError(f"expected ModInt, got {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "ModInt") -> "ModInt":
-        self._check_compatible(other)
-        return ModInt((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "ModInt") -> "ModInt":
-        self._check_compatible(other)
-        return ModInt((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "ModInt") -> "ModInt":
-        self._check_compatible(other)
-        return ModInt((self.value * other.value) % self.modulus, self.modulus)
-
-    def __pow__(self, exponent: int) -> "ModInt":
-        if exponent < 0:
-            raise ValueError("negative exponents are not defined; use inv()")
-        return ModInt(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def inv(self) -> "ModInt":
-        return ModInt(mod_inv(self.value, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def legendre(a: int, q: int) -> int:
-    """Legendre symbol (a | q) for an odd prime q.
-
-    Returns 0 when q divides a, +1 when a is a nonzero square mod q,
-    -1 otherwise. Primality of q is the caller's responsibility, but an
-    impossible Euler-criterion result is reported as a ValueError.
-    """
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be an odd prime, got {q}")
-    t = pow(a % q, (q - 1) // 2, q)
-    if t == 0:
-        return 0
-    if t == 1:
-        return 1
-    if t == q - 1:
-        return -1
-    raise ValueError(f"Euler criterion failed, {q} is not prime")
 
 
 def _miller_rabin_round(x: int, witness: int, odd_part: int, two_exp: int) -> bool:
@@ -169,37 +103,23 @@ def is_probable_prime(x: int) -> bool:
     return all(_miller_rabin_round(x, w, odd_part, two_exp) for w in witnesses)
 
 
-@dataclass(frozen=True)
-class ResidueSystem:
-    """Residue/modulus pairs with pairwise coprime moduli."""
+def crt_combine(pairs: Iterable[Sequence[int]]) -> int:
+    """Unique x in [0, prod moduli) with x = residue_i (mod modulus_i) for all i.
 
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for residue, modulus in self.pairs:
-            if modulus < 2:
-                raise ValueError(f"modulus must be >= 2, got {modulus}")
-            if not 0 <= residue < modulus:
-                raise ValueError(f"residue {residue} out of range for modulus {modulus}")
-        moduli = [m for _, m in self.pairs]
-        for i in range(len(moduli)):
-            for j in range(i + 1, len(moduli)):
-                if math.gcd(moduli[i], moduli[j]) != 1:
-                    raise ValueError(
-                        f"moduli {moduli[i]} and {moduli[j]} are not coprime"
-                    )
-
-    @classmethod
-    def of(cls, pairs: Iterable[Sequence[int]]) -> "ResidueSystem":
-        return cls(tuple((int(r), int(m)) for r, m in pairs))
-
-
-def crt_combine(system: ResidueSystem | Iterable[Sequence[int]]) -> int:
-    """Unique x in [0, prod moduli) with x = residue_i (mod modulus_i) for all i."""
-    if not isinstance(system, ResidueSystem):
-        system = ResidueSystem.of(system)
+    Raises ValueError unless every residue lies in [0, modulus), every
+    modulus is >= 2 and the moduli are pairwise coprime.
+    """
+    pairs = [(int(r), int(m)) for r, m in pairs]
+    for residue, modulus in pairs:
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        if not 0 <= residue < modulus:
+            raise ValueError(f"residue {residue} out of range for modulus {modulus}")
+    for (_, m1), (_, m2) in itertools.combinations(pairs, 2):
+        if math.gcd(m1, m2) != 1:
+            raise ValueError(f"moduli {m1} and {m2} are not coprime")
     x, m = 0, 1
-    for residue, modulus in system.pairs:
+    for residue, modulus in pairs:
         step = (residue - x) * mod_inv(m % modulus, modulus) % modulus
         x += m * step
         m *= modulus

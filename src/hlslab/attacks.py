@@ -15,7 +15,8 @@ against the public keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -36,16 +37,9 @@ from .errors import (
     PopInvalidError,
     PopRequiredError,
 )
-from .hls import KeyPair, SigncryptedText, unsigncrypt
+from .hls import KeyPair, SigncryptedText, bound_hash, unsigncrypt
 from .pki import Certificate, CertificateAuthority, validate_certificate
-from .primitives import (
-    Mode,
-    derive_key,
-    hash_to_scalar,
-    mac,
-    stream_decrypt,
-    x_coordinate_bytes,
-)
+from .primitives import Mode, derive_key, mac, stream_decrypt
 
 __all__ = [
     "AttackReport",
@@ -84,11 +78,8 @@ class AttackReport:
 
     def to_dict(self) -> dict:
         return {
-            "attack_id": self.attack_id,
-            "success": self.success,
+            **asdict(self),
             "recovered": {k: int_to_hex(v) for k, v in self.recovered.items()},
-            "oracle_queries": self.oracle_queries,
-            "trials": self.trials,
             "transcript": list(self.transcript),
         }
 
@@ -108,8 +99,7 @@ def recover_sender_key(
     shared = scalar_mul(r, pub_recipient, e)
     key = derive_key(shared, e, Mode.VULNERABLE)
     message = stream_decrypt(key, sigma.ciphertext)
-    h = hash_to_scalar(message + x_coordinate_bytes(sigma.ephemeral, e.q), e.n)
-    return (sigma.signature + h * r) % e.n
+    return (sigma.signature + bound_hash(message, sigma.ephemeral, e) * r) % e.n
 
 
 @dataclass(frozen=True)
@@ -197,17 +187,17 @@ def forward_secrecy_break(
     transcript = [f"querying recipient decryptor for R = {sigma.ephemeral}"]
     plaintext = decryptor(sigma)  # OracleRefusedError propagates to the caller
     transcript.append(f"decryptor returned {len(plaintext)} plaintext bytes")
-    h = hash_to_scalar(plaintext + x_coordinate_bytes(sigma.ephemeral, e.q), e.n)
+    h = bound_hash(plaintext, sigma.ephemeral, e)
     try:
         r = recover_ephemeral(d_sender, sigma.signature, h, e.n)
     except NotInvertibleError as exc:
-        transcript.append(f"h is not invertible: {exc}")
-        return AttackReport(
-            "forward-secrecy", False, oracle_queries=1, trials=1,
-            transcript=tuple(transcript),
-        )
-    if scalar_mul(r, e.g, e) != sigma.ephemeral:
-        transcript.append(f"candidate r = {r} fails r*G == R; wrong sender key?")
+        failure = f"h is not invertible: {exc}"
+    else:
+        failure = None
+        if scalar_mul(r, e.g, e) != sigma.ephemeral:
+            failure = f"candidate r = {r} fails r*G == R; wrong sender key?"
+    if failure:
+        transcript.append(failure)
         return AttackReport(
             "forward-secrecy", False, oracle_queries=1, trials=1,
             transcript=tuple(transcript),
@@ -260,9 +250,7 @@ def invalid_curve_attack(
         if g < 3 or g % 2 == 0 or not is_probable_prime(g):
             raise ValueError(f"g budget entries must be odd primes >= 3, got {g}")
     transcript = []
-    product = 1
-    for g in g_budget:
-        product *= g
+    product = math.prod(g_budget)
     if product <= e.n:
         transcript.append(
             f"warning: product of orders {product} <= n = {e.n}, recovery cannot be unique"
@@ -315,15 +303,9 @@ def invalid_curve_attack(
             f"g={g}: d_B == +-{matched_j} (mod {g}) after {round_trials} trials"
             f" (bound {g // 2 + 1})"
         )
-    if not residues:
-        transcript.append("no residues collected, recipient never leaked a usable tag")
-        return AttackReport(
-            "invalid-curve", False, oracle_queries=queries, trials=mac_trials,
-            transcript=tuple(transcript),
-        )
     sign_options = [(j,) if j == 0 else (j, g - j) for j, g in residues]
     moduli = [g for _, g in residues]
-    for combo in itertools.product(*sign_options):
+    for combo in itertools.product(*sign_options) if residues else ():
         candidate_d = crt_combine(zip(combo, moduli))
         if not 1 <= candidate_d < e.n:
             continue
@@ -339,7 +321,11 @@ def invalid_curve_attack(
                 trials=mac_trials,
                 transcript=tuple(transcript),
             )
-    transcript.append("no CRT sign combination matched U_B (order product too small?)")
+    transcript.append(
+        "no CRT sign combination matched U_B (order product too small?)"
+        if residues
+        else "no residues collected, recipient never leaked a usable tag"
+    )
     return AttackReport(
         "invalid-curve", False, oracle_queries=queries, trials=mac_trials,
         transcript=tuple(transcript),

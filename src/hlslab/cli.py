@@ -35,18 +35,7 @@ from .curve import (
     point_from_obj,
     search_prime_order_curve,
 )
-from .errors import (
-    ForcedEphemeralError,
-    HlsLabError,
-    InvalidEphemeralKeyError,
-    KeyControlError,
-    NotFoundError,
-    PopInvalidError,
-    PopRequiredError,
-    PublicKeyInvalidError,
-    ResourceLimitError,
-    ZeroHashError,
-)
+from .errors import HardenedRefusalError, HlsLabError, NotFoundError
 from .hls import (
     gen,
     keypair_from_dict,
@@ -80,11 +69,7 @@ EXIT_REJECTED = 1
 EXIT_INVALID = 2
 EXIT_USAGE = 3
 
-_BUNDLED_CURVES = {
-    "toy17": "curve_toy17.json",
-    "mid16": "curve_mid16.json",
-    "secp256k1": "curve_secp256k1.json",
-}
+_BUNDLED_CURVES = ("toy17", "mid16", "secp256k1")
 
 # The bundled toy curve has embedding degree 9, inherent at 5-bit scale, so
 # the CLI's validation gate defaults below that; the library-level default
@@ -119,14 +104,10 @@ def _load_json(path: str) -> object:
 
 def load_curve(spec: str) -> CurveParams:
     if spec in _BUNDLED_CURVES:
-        text = (
-            resources.files("hlslab").joinpath("data", _BUNDLED_CURVES[spec]).read_text()
-        )
+        text = resources.files("hlslab").joinpath("data", f"curve_{spec}.json").read_text()
         data = json.loads(text)
     else:
         data = _load_json(spec)
-    if not isinstance(data, dict):
-        raise UsageError(f"curve {spec!r}: expected a JSON object")
     return curve_from_dict(data)
 
 
@@ -142,10 +123,6 @@ def _read_public_point(path: str) -> Point:
 
 def _rng(args) -> Random:
     return Random(args.seed) if args.seed is not None else Random()
-
-
-def _mode(args) -> Mode:
-    return Mode(args.mode)
 
 
 def _gate_params(e: CurveParams, args) -> None:
@@ -206,7 +183,7 @@ def cmd_signcrypt(args) -> int:
     recipient_pub = _read_public_point(args.recipient)
     message = Path(args.infile).read_bytes()
     forced_r = int(args.forced_r, 0) if args.forced_r is not None else None
-    sigma = signcrypt(message, sender.d, recipient_pub, e, _rng(args), _mode(args), forced_r)
+    sigma = signcrypt(message, sender.d, recipient_pub, e, _rng(args), Mode(args.mode), forced_r)
     _write_json(args.out, signcrypted_to_dict(sigma))
     return EXIT_OK
 
@@ -217,7 +194,7 @@ def cmd_unsigncrypt(args) -> int:
     recipient = keypair_from_dict(_load_json(args.key))
     sender_pub = _read_public_point(args.sender)
     sigma = signcrypted_from_dict(_load_json(args.infile))
-    message = unsigncrypt(sigma, recipient.d, sender_pub, e, _mode(args))
+    message = unsigncrypt(sigma, recipient.d, sender_pub, e, Mode(args.mode))
     if message is None:
         print("unsigncryption rejected the triple (verification failed)", file=sys.stderr)
         return EXIT_REJECTED
@@ -238,8 +215,7 @@ def cmd_validate(args) -> int:
     cert = cert_from_dict(_load_json(args.infile))
     ca_pub = _read_public_point(args.ca)
     crl = _read_crl(args.crl) if args.crl else set()
-    now = args.now if args.now is not None else FIXED_NOW
-    return _emit_report(args, validate_certificate(cert, ca_pub, now, crl, e))
+    return _emit_report(args, validate_certificate(cert, ca_pub, args.now, crl, e))
 
 
 def _read_crl(path: str) -> set[int]:
@@ -327,8 +303,7 @@ def cmd_ca(args) -> int:
             )
             public_key = _read_public_point(args.pubkey)
             pop = sig_from_dict(_load_json(args.pop)) if args.pop else None
-            now = args.now if args.now is not None else FIXED_NOW
-            cert = ca.issue(args.subject, public_key, now, args.lifetime, pop=pop)
+            cert = ca.issue(args.subject, public_key, args.now, args.lifetime, pop=pop)
             state.write_serial(ca.next_serial)
             _write_json(args.out, cert_to_dict(cert))
             return EXIT_OK
@@ -340,8 +315,7 @@ def cmd_ca(args) -> int:
         # verify
         cert = cert_from_dict(_load_json(args.infile))
         ca_pub = state.read_keypair().pub
-        now = args.now if args.now is not None else FIXED_NOW
-        report = validate_certificate(cert, ca_pub, now, state.read_crl(), e)
+        report = validate_certificate(cert, ca_pub, args.now, state.read_crl(), e)
         return _emit_report(args, report)
 
 
@@ -352,7 +326,7 @@ def cmd_attack(args) -> int:
     kwargs = {}
     if args.which == "invalid-curve" and args.g_budget:
         kwargs["g_budget"] = [int(g, 0) for g in args.g_budget.split(",")]
-    report = runner(e, _mode(args), _rng(args), **kwargs)
+    report = runner(e, Mode(args.mode), _rng(args), **kwargs)
     if args.output == "json":
         _write_json(None, report.to_dict())
     else:
@@ -490,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--in", dest="infile", required=True)
     vp.add_argument("--ca", required=True, help="CA public key file")
     vp.add_argument("--crl", help="CRL file (JSON array of serials)")
-    vp.add_argument("--now", type=int, help=f"validation time (default {FIXED_NOW})")
+    vp.add_argument(
+        "--now", type=int, default=FIXED_NOW, help=f"validation time (default {FIXED_NOW})"
+    )
     vp.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("ca", help="toy certificate authority")
@@ -507,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--pop", help="proof-of-possession signature file")
     cp.add_argument("--require-pop", action="store_true")
     cp.add_argument("--require-pk-validation", action="store_true")
-    cp.add_argument("--now", type=int, default=None)
+    cp.add_argument("--now", type=int, default=FIXED_NOW)
     cp.add_argument("--lifetime", type=int, default=365 * 86400, help="seconds of validity")
     cp.add_argument("--out", help="certificate output file (stdout when omitted)")
     cp.set_defaults(func=cmd_ca)
@@ -520,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_curve_opts(cp), _add_output_opt(cp)
     cp.add_argument("--dir", required=True)
     cp.add_argument("--in", dest="infile", required=True)
-    cp.add_argument("--now", type=int, default=None)
+    cp.add_argument("--now", type=int, default=FIXED_NOW)
     cp.set_defaults(func=cmd_ca)
     cp = csub.add_parser("prove", help="produce a proof-of-possession signature")
     _add_curve_opts(cp), _add_seed_opt(cp)
@@ -563,27 +539,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("domain parameters failed validation:", file=sys.stderr)
         print(_render_report(exc.report), file=sys.stderr)
         return EXIT_INVALID
-    except (
-        PopRequiredError,
-        PopInvalidError,
-        PublicKeyInvalidError,
-        ForcedEphemeralError,
-        ZeroHashError,
-        KeyControlError,
-        InvalidEphemeralKeyError,
-    ) as exc:
+    except HardenedRefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except NotFoundError as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, HlsLabError) as exc:
+    except (UsageError, OSError, ValueError, HlsLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

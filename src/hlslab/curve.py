@@ -14,13 +14,12 @@ inputs in this lab.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Optional
+from typing import Optional
 
-from .arith import hex_to_int, int_to_hex, is_probable_prime, mod_inv
+from .arith import hex_to_int, int_to_hex, is_probable_prime, mod_inv, require_keys
 from .errors import NotFoundError, NotInvertibleError, ResourceLimitError
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "point_add",
     "point_from_obj",
     "point_neg",
-    "point_order",
     "point_to_obj",
     "scalar_mul",
     "search_prime_order_curve",
@@ -149,10 +147,6 @@ def point_add(p: Point, r: Point, e: CurveParams) -> Point:
     x3 = (lam * lam - p.x - r.x) % q
     y3 = (lam * (p.x - x3) - p.y) % q
     return Point(x3, y3)
-
-
-def point_double(p: Point, e: CurveParams) -> Point:
-    return point_add(p, p, e)
 
 
 # Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); Z == 0 is O.
@@ -270,39 +264,6 @@ def count_points(q: int, a: int, b: int, limit: int = ENUMERATION_LIMIT) -> int:
     if not is_singular(q, a, b):
         assert (q + 1 - n_points) ** 2 <= 4 * q, "point count outside Hasse interval"
     return n_points
-
-
-def point_order(
-    p: Point,
-    group_order: int,
-    e: CurveParams,
-    factors: Optional[Iterable[int]] = None,
-) -> int:
-    """Smallest g > 0 with g*p == O, given a multiple group_order of it.
-
-    Brute-forces successive multiples when no factorization is supplied
-    (fine at desk scale); with the prime factors of group_order it descends
-    by divisors instead. The order of O is 1 by convention but O is rejected
-    here so that callers cannot mistake it for a small-order attack point.
-    """
-    if p.is_infinity:
-        raise ValueError("order of the identity is 1 by convention; supply an affine point")
-    if group_order < 1:
-        raise ValueError(f"group_order must be positive, got {group_order}")
-    if scalar_mul(group_order, p, e) != INFINITY:
-        raise ValueError("group_order * p != O, supplied order is inconsistent")
-    if factors is None:
-        acc = p
-        for g in range(1, group_order + 1):
-            if acc.is_infinity:
-                return g
-            acc = point_add(acc, p, e)
-        raise ValueError("no multiple up to group_order reached O")  # unreachable
-    order = group_order
-    for prime in sorted(set(factors)):
-        while order % prime == 0 and scalar_mul(order // prime, p, e).is_infinity:
-            order //= prime
-    return order
 
 
 @dataclass(frozen=True)
@@ -444,10 +405,7 @@ def curve_to_dict(e: CurveParams) -> dict:
 
 
 def curve_from_dict(data: dict) -> CurveParams:
-    required = {"q", "a", "b", "gx", "gy", "n"}
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"curve file missing keys: {sorted(missing)}")
+    require_keys(data, ("q", "a", "b", "gx", "gy", "n"), "curve file")
     return CurveParams(
         q=hex_to_int(data["q"]),
         a=hex_to_int(data["a"]),

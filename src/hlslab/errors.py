@@ -22,16 +22,16 @@ class NotFoundError(HlsLabError):
     """An exhaustive search ran to completion without a match."""
 
 
-class KeyControlError(HlsLabError):
+class HardenedRefusalError(HlsLabError):
+    """Hardened mode or a strict CA policy refused a weakness-enabling input."""
+
+
+class KeyControlError(HardenedRefusalError):
     """Hardened key derivation refused a degenerate shared point."""
 
 
-class InvalidEphemeralKeyError(HlsLabError):
+class InvalidEphemeralKeyError(HardenedRefusalError):
     """Hardened unsigncryption rejected the ephemeral point before using it."""
-
-
-class HardenedRefusalError(HlsLabError):
-    """Hardened-mode operation refused a weakness-enabling input."""
 
 
 class ForcedEphemeralError(HardenedRefusalError):
@@ -50,13 +50,13 @@ class OracleRefusedError(HlsLabError):
     """A cooperating-party oracle declined to serve the request."""
 
 
-class PopRequiredError(HlsLabError):
+class PopRequiredError(HardenedRefusalError):
     """CA policy demands a proof of possession and none was supplied."""
 
 
-class PopInvalidError(HlsLabError):
+class PopInvalidError(HardenedRefusalError):
     """The supplied proof of possession did not verify."""
 
 
-class PublicKeyInvalidError(HlsLabError):
+class PublicKeyInvalidError(HardenedRefusalError):
     """CA policy demands public-key validation and the key failed it."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
-from .arith import hex_to_int, int_to_hex
+from .arith import hex_to_int, int_to_hex, require_keys
 from .curve import (
     INFINITY,
     CurveParams,
@@ -46,8 +46,8 @@ from .primitives import (
 __all__ = [
     "ConfirmPolicy",
     "KeyPair",
-    "Mode",
     "SigncryptedText",
+    "bound_hash",
     "confirmation_oracle",
     "gen",
     "keypair_from_dict",
@@ -100,8 +100,8 @@ def gen(e: CurveParams, rng: Random) -> KeyPair:
     return KeyPair(d=d, pub=scalar_mul(d, e.g, e))
 
 
-def _bound_hash(message: bytes, ephemeral: Point, e: CurveParams) -> int:
-    # h = H(M || x_R) mod n, x_R as a fixed-length field element
+def bound_hash(message: bytes, ephemeral: Point, e: CurveParams) -> int:
+    """h = H(M || x_R) mod n, with x_R as a fixed-length field element."""
     return hash_to_scalar(message + x_coordinate_bytes(ephemeral, e.q), e.n)
 
 
@@ -135,7 +135,7 @@ def signcrypt(
     shared = scalar_mul(r, pub_recipient, e)
     key = derive_key(shared, e, mode)
     ciphertext = stream_encrypt(key, message)
-    h = _bound_hash(message, ephemeral, e)
+    h = bound_hash(message, ephemeral, e)
     if h == 0 and mode is Mode.HARDENED:
         raise ZeroHashError("bound hash is 0 mod n, signature would expose the sender key")
     s = (d_sender - h * r) % e.n
@@ -177,7 +177,7 @@ def unsigncrypt(
     shared = scalar_mul(d_recipient, sigma.ephemeral, e)
     key = derive_key(shared, e, mode)
     message = stream_decrypt(key, sigma.ciphertext)
-    h = _bound_hash(message, sigma.ephemeral, e)
+    h = bound_hash(message, sigma.ephemeral, e)
     check = point_add(
         scalar_mul(sigma.signature, e.g, e),
         scalar_mul(h, sigma.ephemeral, e),
@@ -208,11 +208,8 @@ def confirmation_oracle(
         shared = scalar_mul(d_recipient, sigma.ephemeral, e)
         key = derive_key(shared, e, Mode.VULNERABLE)
         return confirm_message, mac(key, confirm_message)
-    if policy is ConfirmPolicy.CONFIRM_AFTER_VERIFY:
-        mode = Mode.VULNERABLE
-    else:
-        validate_ephemeral_point(sigma.ephemeral, e)
-        mode = Mode.HARDENED
+    # under HARDENED, unsigncrypt validates R before any use of d_B
+    mode = Mode.VULNERABLE if policy is ConfirmPolicy.CONFIRM_AFTER_VERIFY else Mode.HARDENED
     message = unsigncrypt(sigma, d_recipient, pub_sender, e, mode)
     if message is None:
         return None
@@ -228,9 +225,7 @@ def keypair_to_dict(kp: KeyPair) -> dict:
 
 
 def keypair_from_dict(data: dict) -> KeyPair:
-    missing = {"d", "ux", "uy"} - set(data)
-    if missing:
-        raise ValueError(f"key pair file missing keys: {sorted(missing)}")
+    require_keys(data, ("d", "ux", "uy"), "key pair file")
     return KeyPair(
         d=hex_to_int(data["d"]),
         pub=Point(hex_to_int(data["ux"]), hex_to_int(data["uy"])),
@@ -246,9 +241,9 @@ def signcrypted_to_dict(sigma: SigncryptedText) -> dict:
 
 
 def signcrypted_from_dict(data: dict) -> SigncryptedText:
-    missing = {"C", "R", "s"} - set(data)
-    if missing:
-        raise ValueError(f"signcrypted file missing keys: {sorted(missing)}")
+    require_keys(data, ("C", "R", "s"), "signcrypted file")
+    if not isinstance(data["C"], str):
+        raise ValueError(f"signcrypted file: C must be a hex string, got {data['C']!r}")
     return SigncryptedText(
         ciphertext=bytes.fromhex(data["C"]),
         ephemeral=point_from_obj(data["R"]),

@@ -13,11 +13,11 @@ the challenge from z*G + e*U.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Iterable, Optional
 
-from .arith import hex_to_int, int_to_hex, is_probable_prime
+from .arith import hex_to_int, int_to_hex, is_probable_prime, require_keys
 from .curve import (
     ENUMERATION_LIMIT,
     CurveParams,
@@ -165,18 +165,7 @@ class ValidationReport:
         return [c.name for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                    "extended": c.extended,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, "checks": [asdict(c) for c in self.checks]}
 
 
 @dataclass(frozen=True)
@@ -331,13 +320,13 @@ def validate_public_key(u: Point, e: CurveParams, full: bool = False) -> Validat
     return ValidationReport(tuple(checks))
 
 
-def _check(name: str, fn, detail_pass: str, extended: bool = False) -> CheckResult:
+def _check(name: str, fn, extended: bool = False) -> CheckResult:
     # domain checks on hostile inputs can blow up mid-computation; a crash is a fail
     try:
         passed, detail = fn()
     except (HlsLabError, ValueError, AssertionError) as exc:
         return CheckResult(name, False, f"computation failed: {exc}", extended)
-    return CheckResult(name, passed, detail if detail else detail_pass, extended)
+    return CheckResult(name, passed, detail, extended)
 
 
 def validate_domain_params(
@@ -354,21 +343,16 @@ def validate_domain_params(
     enough, otherwise from the claimed order q + 1 - cofactor*n; the detail
     string says which route was taken.
     """
-    checks = []
 
     def field_prime():
         ok = is_probable_prime(e.q)
         return ok, f"q = {e.q} is prime" if ok else f"q = {e.q} is not prime"
-
-    checks.append(_check("field-prime", field_prime, ""))
 
     def nonsingular():
         ok = not is_singular(e.q, e.a, e.b)
         return ok, (
             "4a^3 + 27b^2 != 0 mod q" if ok else "4a^3 + 27b^2 == 0 mod q (singular)"
         )
-
-    checks.append(_check("nonsingular", nonsingular, "", extended=True))
 
     def base_on_curve():
         ok = is_on_curve(e.g, e)
@@ -378,19 +362,13 @@ def validate_domain_params(
             else "base point does not satisfy the curve equation"
         )
 
-    checks.append(_check("base-point-on-curve", base_on_curve, ""))
-
     def order_prime():
         ok = is_probable_prime(e.n)
         return ok, f"n = {e.n} is prime" if ok else f"n = {e.n} is not prime"
 
-    checks.append(_check("order-prime", order_prime, ""))
-
     def base_order():
         ok = scalar_mul(e.n, e.g, e).is_infinity
         return ok, "n * G == O" if ok else "n * G != O"
-
-    checks.append(_check("base-point-order", base_order, ""))
 
     def hasse_margin():
         ok = e.n * e.n > 16 * e.q
@@ -400,8 +378,6 @@ def validate_domain_params(
             else f"n^2 = {e.n * e.n} <= 16q = {16 * e.q}"
         )
 
-    checks.append(_check("hasse-margin", hasse_margin, ""))
-
     def embedding():
         if e.n < 2:
             return False, "n < 2 divides every q^i - 1"
@@ -410,13 +386,9 @@ def validate_domain_params(
                 return False, f"n divides q^{i} - 1 (embedding degree {i} <= {embedding_bound})"
         return True, f"n does not divide q^i - 1 for i = 1..{embedding_bound}"
 
-    checks.append(_check("embedding-degree", embedding, ""))
-
     def anomalous():
         ok = e.n != e.q
         return ok, "n != q" if ok else "n == q (anomalous curve)"
-
-    checks.append(_check("anomalous", anomalous, ""))
 
     def supersingular():
         if e.q <= limit:
@@ -428,9 +400,19 @@ def validate_domain_params(
         ok = trace != 0
         return ok, f"trace {trace} ({route})" + ("" if ok else " is zero (supersingular)")
 
-    checks.append(_check("supersingular", supersingular, ""))
-
-    return ValidationReport(tuple(checks))
+    return ValidationReport(
+        (
+            _check("field-prime", field_prime),
+            _check("nonsingular", nonsingular, extended=True),
+            _check("base-point-on-curve", base_on_curve),
+            _check("order-prime", order_prime),
+            _check("base-point-order", base_order),
+            _check("hasse-margin", hasse_margin),
+            _check("embedding-degree", embedding),
+            _check("anomalous", anomalous),
+            _check("supersingular", supersingular),
+        )
+    )
 
 
 def sig_to_dict(sig: SchnorrSig) -> dict:
@@ -438,6 +420,7 @@ def sig_to_dict(sig: SchnorrSig) -> dict:
 
 
 def sig_from_dict(data: dict) -> SchnorrSig:
+    require_keys(data, ("e", "z"), "signature")
     return SchnorrSig(e=hex_to_int(data["e"]), z=hex_to_int(data["z"]))
 
 
@@ -453,9 +436,8 @@ def cert_to_dict(cert: Certificate) -> dict:
 
 
 def cert_from_dict(data: dict) -> Certificate:
-    missing = {"serial", "subject", "publicKey", "notBefore", "notAfter", "sig"} - set(data)
-    if missing:
-        raise ValueError(f"certificate file missing keys: {sorted(missing)}")
+    keys = ("serial", "subject", "publicKey", "notBefore", "notAfter", "sig")
+    require_keys(data, keys, "certificate file")
     return Certificate(
         serial=hex_to_int(data["serial"]),
         subject=data["subject"],

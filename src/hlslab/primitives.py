@@ -108,8 +108,6 @@ def derive_key(k_point: Point, e: CurveParams, mode: Mode) -> bytes:
     faithfully reproducing the missing K != O check; the hardened mode
     refuses instead.
     """
-    if k_point.is_infinity:
-        if mode is Mode.HARDENED:
-            raise KeyControlError("shared point is the identity, refusing to derive a key")
-        return bytes(field_len(e.q))
-    return int_to_bytes(k_point.x, field_len(e.q))
+    if k_point.is_infinity and mode is Mode.HARDENED:
+        raise KeyControlError("shared point is the identity, refusing to derive a key")
+    return x_coordinate_bytes(k_point, e.q)

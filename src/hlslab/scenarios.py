@@ -11,6 +11,7 @@ and the runner reports the attack as blocked.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 from typing import Callable, Optional, Sequence
 
@@ -236,17 +237,16 @@ def run_forward_secrecy(e: CurveParams, mode: Mode, rng: Random) -> AttackReport
     return last
 
 
-def default_g_budget(e: CurveParams, limit: Optional[int] = None) -> list[int]:
+def default_g_budget(e: CurveParams) -> list[int]:
     """Ascending odd primes with product exceeding n, each admitting a
     small-order companion-curve point over this field."""
     budget = []
     product = 1
     candidate = 3
-    kwargs = {} if limit is None else {"limit": limit}
     while product <= e.n:
         if is_probable_prime(candidate):
             try:
-                find_invalid_curve_point(e, candidate, **kwargs)
+                find_invalid_curve_point(e, candidate)
             except NotFoundError:
                 candidate += 2
                 continue
@@ -345,14 +345,7 @@ def run_weak_key(
     except KeyControlError as exc:
         transcript_extra.append(f"crafted session refused by hardened derivation: {exc}")
     report = weak_key_audit(sessions)
-    return AttackReport(
-        report.attack_id,
-        report.success,
-        recovered=report.recovered,
-        oracle_queries=report.oracle_queries,
-        trials=report.trials,
-        transcript=tuple(transcript_extra) + report.transcript,
-    )
+    return replace(report, transcript=tuple(transcript_extra) + report.transcript)
 
 
 SCENARIOS: dict[str, Callable[[CurveParams, Mode, Random], AttackReport]] = {

@@ -6,13 +6,10 @@ from random import Random
 import pytest
 
 from hlslab.arith import (
-    ModInt,
-    ResidueSystem,
     crt_combine,
     hex_to_int,
     int_to_hex,
     is_probable_prime,
-    legendre,
     mod_inv,
 )
 from hlslab.errors import NotInvertibleError
@@ -71,81 +68,6 @@ class TestModInv:
             mod_inv(0, 5)
 
 
-class TestModInt:
-    def test_arithmetic_matches_plain_ints(self):
-        rng = Random(3)
-        for _ in range(200):
-            m = rng.randrange(2, 500)
-            a, b = rng.randrange(m), rng.randrange(m)
-            x, y = ModInt(a, m), ModInt(b, m)
-            assert int(x + y) == (a + b) % m
-            assert int(x - y) == (a - b) % m
-            assert int(x * y) == (a * b) % m
-
-    def test_pow(self):
-        assert int(ModInt(2, 1000) ** 10) == 24
-
-    def test_pow_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            ModInt(2, 7) ** -1
-
-    def test_inv(self):
-        assert int(ModInt(3, 7).inv()) == 5
-        with pytest.raises(NotInvertibleError):
-            ModInt(0, 7).inv()
-
-    def test_modulus_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="modulus mismatch"):
-            ModInt(1, 7) + ModInt(1, 11)
-
-    def test_non_modint_operand_rejected(self):
-        with pytest.raises(TypeError):
-            ModInt(1, 7) + 1
-
-    def test_constructor_range_checks(self):
-        with pytest.raises(ValueError):
-            ModInt(7, 7)
-        with pytest.raises(ValueError):
-            ModInt(-1, 7)
-        with pytest.raises(ValueError):
-            ModInt(0, 1)
-
-    def test_reduce(self):
-        assert ModInt.reduce(-1, 7) == ModInt(6, 7)
-        assert ModInt.reduce(20, 7) == ModInt(6, 7)
-
-
-class TestLegendre:
-    def test_known_value(self):
-        # squares mod 7 are {1, 2, 4}
-        assert legendre(3, 7) == -1
-
-    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23])
-    def test_matches_square_enumeration(self, q):
-        squares = {y * y % q for y in range(1, q)}
-        for a in range(q):
-            expected = 0 if a == 0 else (1 if a in squares else -1)
-            assert legendre(a, q) == expected
-
-    def test_reduces_input(self):
-        assert legendre(7 + 3, 7) == legendre(3, 7)
-        assert legendre(-4, 7) == legendre(3, 7)
-
-    def test_zero(self):
-        assert legendre(0, 13) == 0
-        assert legendre(26, 13) == 0
-
-    @pytest.mark.parametrize("q", [1, 2, 4, 100])
-    def test_even_or_tiny_modulus_rejected(self, q):
-        with pytest.raises(ValueError):
-            legendre(3, q)
-
-    def test_composite_modulus_detected_when_euler_betrays_it(self):
-        # 2^4 mod 9 = 7, not in {0, 1, 8}
-        with pytest.raises(ValueError, match="not prime"):
-            legendre(2, 9)
-
-
 class TestIsProbablePrime:
     def test_against_sieve(self):
         limit = 2000
@@ -182,33 +104,24 @@ class TestIsProbablePrime:
         assert not is_probable_prime(1)
 
 
-class TestResidueSystem:
-    def test_valid(self):
-        system = ResidueSystem.of([(2, 3), (3, 5)])
-        assert system.pairs == ((2, 3), (3, 5))
-
-    def test_residue_out_of_range(self):
-        with pytest.raises(ValueError):
-            ResidueSystem(((5, 3),))
-        with pytest.raises(ValueError):
-            ResidueSystem(((-1, 3),))
-
-    def test_modulus_too_small(self):
-        with pytest.raises(ValueError):
-            ResidueSystem(((0, 1),))
-
-    def test_non_coprime_moduli(self):
-        with pytest.raises(ValueError, match="not coprime"):
-            ResidueSystem(((1, 6), (1, 4)))
-
-
 class TestCrtCombine:
     def test_known_values(self):
         assert crt_combine([(2, 3), (3, 5)]) == 8
         assert crt_combine([(1, 2), (2, 3), (3, 5)]) == 23
 
-    def test_accepts_residue_system(self):
-        assert crt_combine(ResidueSystem.of([(2, 3), (3, 5)])) == 8
+    def test_residue_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            crt_combine([(5, 3)])
+        with pytest.raises(ValueError, match="out of range"):
+            crt_combine([(-1, 3)])
+
+    def test_modulus_too_small(self):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            crt_combine([(0, 1)])
+
+    def test_non_coprime_moduli(self):
+        with pytest.raises(ValueError, match="not coprime"):
+            crt_combine([(1, 6), (1, 4)])
 
     def test_empty_system_is_zero(self):
         assert crt_combine([]) == 0

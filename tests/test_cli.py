@@ -427,3 +427,41 @@ class TestUsageErrors:
         bad = tmp_path / "arr.json"
         bad.write_text("[1, 2]")
         assert run("keygen", "--curve", str(bad))[0] == 3
+
+    @pytest.mark.parametrize(
+        "argv,content",
+        [
+            (
+                "unsigncrypt --key {bob} --sender {alice} --in {bad}",
+                {"C": 5, "R": "infinity", "s": "0x1"},
+            ),
+            (
+                "ca issue --dir {ca} --subject Alice --pubkey {alice} --require-pop --pop {bad}",
+                {"e": "0x1"},
+            ),
+            ("unsigncrypt --key {bad} --sender {alice} --in {sigma}", 5),
+            ("unsigncrypt --key {bob} --sender {alice} --in {bad}", 5),
+            (
+                "validate cert --in {bad} --ca {alice}",
+                {"serial": "0x1", "subject": "A", "publicKey": "infinity",
+                 "notBefore": "0x0", "notAfter": "0x1", "sig": "x"},
+            ),
+        ],
+        ids=["ciphertext-not-string", "pop-missing-z", "key-not-object",
+             "triple-not-object", "cert-sig-not-object"],
+    )
+    def test_malformed_input_file_is_one_line_usage_error(
+        self, run, keys, tmp_path, argv, content
+    ):
+        alice, bob = keys
+        msg, sigma, ca = tmp_path / "msg.bin", tmp_path / "sigma.json", tmp_path / "ca"
+        msg.write_bytes(b"hi")
+        assert run("signcrypt", "--seed", "3", "--key", str(alice), "--recipient", str(bob),
+                   "--in", str(msg), "--out", str(sigma))[0] == 0
+        assert run("ca", "init", "--seed", "8", "--dir", str(ca))[0] == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        paths = {"alice": alice, "bob": bob, "sigma": sigma, "ca": ca, "bad": bad}
+        code, _, err = run(*argv.format(**paths).split())
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -24,7 +24,6 @@ from hlslab.curve import (
     point_add,
     point_from_obj,
     point_neg,
-    point_order,
     point_to_obj,
     scalar_mul,
     search_prime_order_curve,
@@ -248,22 +247,6 @@ class TestCountPoints:
     def test_enumeration_limit(self):
         with pytest.raises(ResourceLimitError):
             count_points((1 << 21) + 1, 2, 2)
-
-
-class TestPointOrder:
-    def test_base_point(self, toy):
-        assert point_order(toy.g, 19, toy) == 19
-
-    def test_with_factors(self, toy):
-        assert point_order(toy.g, 38, toy, factors=[2, 19]) == 19
-
-    def test_identity_rejected(self, toy):
-        with pytest.raises(ValueError):
-            point_order(INFINITY, 19, toy)
-
-    def test_inconsistent_group_order_rejected(self, toy):
-        with pytest.raises(ValueError):
-            point_order(toy.g, 18, toy)
 
 
 class TestFindInvalidCurvePoint:
