@@ -341,9 +341,6 @@ def uks_attack(
     now: int,
     mode: Mode = Mode.VULNERABLE,
     expected_plaintext: Optional[bytes] = None,
-    attacker_subject: str = "Mallory",
-    lifetime: int = 365 * 86400,
-    revoke_before_presentation: bool = False,
 ) -> AttackReport:
     """Identity misbinding: register Alice's public key under Mallory's name.
 
@@ -354,18 +351,14 @@ def uks_attack(
     walks away attributing Alice's message to Mallory.
     """
     transcript = [
-        f"requesting certificate binding {attacker_subject!r} to the key of"
-        f" {alice_cert.subject!r}"
+        f"requesting certificate binding 'Mallory' to the key of {alice_cert.subject!r}"
     ]
     try:
-        mallory_cert = ca.issue(attacker_subject, alice_cert.public_key, now, lifetime)
+        mallory_cert = ca.issue("Mallory", alice_cert.public_key, now, 365 * 86400)
     except (PopRequiredError, PopInvalidError) as exc:
         transcript.append(f"blocked at issuance: {exc}")
         return AttackReport("uks", False, transcript=tuple(transcript))
-    transcript.append(f"CA issued serial {mallory_cert.serial} to {attacker_subject!r}")
-    if revoke_before_presentation:
-        ca.revoke(mallory_cert.serial)
-        transcript.append(f"serial {mallory_cert.serial} revoked before presentation")
+    transcript.append(f"CA issued serial {mallory_cert.serial} to 'Mallory'")
     report = validate_certificate(mallory_cert, ca.pub, now, ca.crl, e)
     if not report.ok:
         transcript.append(
@@ -377,15 +370,13 @@ def uks_attack(
     if plaintext is None:
         transcript.append("unsigncryption rejected the triple")
         return AttackReport("uks", False, transcript=tuple(transcript))
-    attributed_ok = mallory_cert.subject == attacker_subject
     plaintext_ok = expected_plaintext is None or plaintext == expected_plaintext
-    success = attributed_ok and plaintext_ok
     transcript.append(
         f"recipient attributes {len(plaintext)} plaintext bytes to"
         f" {mallory_cert.subject!r}"
         + ("" if plaintext_ok else " but the plaintext is not the sender's")
     )
-    return AttackReport("uks", success, transcript=tuple(transcript))
+    return AttackReport("uks", plaintext_ok, transcript=tuple(transcript))
 
 
 def zero_r_probe(sigma: SigncryptedText, pub_sender: Point, e: CurveParams) -> AttackReport:

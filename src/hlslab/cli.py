@@ -126,7 +126,7 @@ def _rng(args) -> Random:
 
 
 def _gate_params(e: CurveParams, args) -> None:
-    if getattr(args, "skip_param_validation", False):
+    if args.skip_param_validation:
         return
     report = validate_domain_params(e, embedding_bound=args.embedding_bound)
     if not report.ok:
@@ -381,13 +381,16 @@ def cmd_find_curve(args) -> int:
     return EXIT_OK
 
 
-def _add_curve_opts(p: argparse.ArgumentParser):
+def _add_curve_opt(p: argparse.ArgumentParser):
     p.add_argument(
         "--curve",
         default=os.environ.get("HLSLAB_CURVE", "toy17"),
         help="curve file path or bundled name (toy17, mid16, secp256k1);"
         " env HLSLAB_CURVE overrides the default",
     )
+
+
+def _add_embedding_opt(p: argparse.ArgumentParser):
     p.add_argument(
         "--embedding-bound",
         type=int,
@@ -395,6 +398,11 @@ def _add_curve_opts(p: argparse.ArgumentParser):
         help="highest power checked by the embedding-degree condition"
         f" (default {_CLI_EMBEDDING_BOUND})",
     )
+
+
+def _add_gated_curve_opts(p: argparse.ArgumentParser):
+    # --curve plus the options of _gate_params, for the commands that call it
+    _add_curve_opt(p), _add_embedding_opt(p)
     p.add_argument(
         "--skip-param-validation",
         action="store_true",
@@ -424,12 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a key pair")
-    _add_curve_opts(p), _add_seed_opt(p)
+    _add_gated_curve_opts(p), _add_seed_opt(p)
     p.add_argument("--out", help="key-pair output file (stdout when omitted)")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("signcrypt", help="signcrypt a message file")
-    _add_curve_opts(p), _add_seed_opt(p), _add_mode_opt(p)
+    _add_gated_curve_opts(p), _add_seed_opt(p), _add_mode_opt(p)
     p.add_argument("--key", required=True, help="sender key-pair file")
     p.add_argument("--recipient", required=True, help="recipient public key (key pair or cert)")
     p.add_argument("--in", dest="infile", required=True, help="plaintext file")
@@ -442,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_signcrypt)
 
     p = sub.add_parser("unsigncrypt", help="unsigncrypt a triple")
-    _add_curve_opts(p), _add_mode_opt(p)
+    _add_gated_curve_opts(p), _add_mode_opt(p)
     p.add_argument("--key", required=True, help="recipient key-pair file")
     p.add_argument("--sender", required=True, help="sender public key (key pair or cert)")
     p.add_argument("--in", dest="infile", required=True, help="signcrypted file")
@@ -452,15 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run a validation checklist")
     vsub = p.add_subparsers(dest="target", required=True)
     vp = vsub.add_parser("params", help="domain parameters of --curve")
-    _add_curve_opts(vp), _add_output_opt(vp)
+    _add_curve_opt(vp), _add_embedding_opt(vp), _add_output_opt(vp)
     vp.set_defaults(func=cmd_validate)
     vp = vsub.add_parser("pubkey", help="public-key checklist")
-    _add_curve_opts(vp), _add_output_opt(vp)
+    _add_curve_opt(vp), _add_output_opt(vp)
     vp.add_argument("--in", dest="infile", required=True)
     vp.add_argument("--full", action="store_true", help="append the extended subgroup-order check")
     vp.set_defaults(func=cmd_validate)
     vp = vsub.add_parser("cert", help="certificate checklist")
-    _add_curve_opts(vp), _add_output_opt(vp)
+    _add_curve_opt(vp), _add_output_opt(vp)
     vp.add_argument("--in", dest="infile", required=True)
     vp.add_argument("--ca", required=True, help="CA public key file")
     vp.add_argument("--crl", help="CRL file (JSON array of serials)")
@@ -472,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ca", help="toy certificate authority")
     csub = p.add_subparsers(dest="ca_cmd", required=True)
     cp = csub.add_parser("init", help="create a CA state directory")
-    _add_curve_opts(cp), _add_seed_opt(cp)
+    _add_curve_opt(cp), _add_seed_opt(cp)
     cp.add_argument("--dir", required=True)
     cp.set_defaults(func=cmd_ca)
     cp = csub.add_parser("issue", help="issue a certificate")
-    _add_curve_opts(cp), _add_seed_opt(cp), _add_output_opt(cp)
+    _add_curve_opt(cp), _add_seed_opt(cp), _add_output_opt(cp)
     cp.add_argument("--dir", required=True)
     cp.add_argument("--subject", required=True)
     cp.add_argument("--pubkey", required=True, help="requester public key file")
@@ -488,18 +496,18 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--out", help="certificate output file (stdout when omitted)")
     cp.set_defaults(func=cmd_ca)
     cp = csub.add_parser("revoke", help="add a serial to the CRL")
-    _add_curve_opts(cp)
+    _add_curve_opt(cp)
     cp.add_argument("--dir", required=True)
     cp.add_argument("--serial", required=True)
     cp.set_defaults(func=cmd_ca)
     cp = csub.add_parser("verify", help="validate a certificate against CA state")
-    _add_curve_opts(cp), _add_output_opt(cp)
+    _add_curve_opt(cp), _add_output_opt(cp)
     cp.add_argument("--dir", required=True)
     cp.add_argument("--in", dest="infile", required=True)
     cp.add_argument("--now", type=int, default=FIXED_NOW)
     cp.set_defaults(func=cmd_ca)
     cp = csub.add_parser("prove", help="produce a proof-of-possession signature")
-    _add_curve_opts(cp), _add_seed_opt(cp)
+    _add_curve_opt(cp), _add_seed_opt(cp)
     cp.add_argument("--key", required=True, help="requester key-pair file")
     cp.add_argument("--subject", required=True)
     cp.add_argument("--ca-pub", required=True, help="CA public key file")
@@ -508,14 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run an attack scenario end to end")
     p.add_argument("which", choices=sorted(SCENARIOS))
-    _add_curve_opts(p), _add_seed_opt(p), _add_mode_opt(p), _add_output_opt(p)
+    _add_gated_curve_opts(p), _add_seed_opt(p), _add_mode_opt(p), _add_output_opt(p)
     p.add_argument("--g-budget", help="comma-separated odd primes for invalid-curve")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser(
         "demo-all", help="run every scenario in both modes and check expectations"
     )
-    _add_curve_opts(p), _add_seed_opt(p), _add_output_opt(p)
+    _add_gated_curve_opts(p), _add_seed_opt(p), _add_output_opt(p)
     p.add_argument("--weaken-hardened", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_demo_all)
 

@@ -250,20 +250,34 @@ def _cubic_terms(q: int, a: int) -> tuple[int, ...]:
     return tuple((x * x * x + a * x) % q for x in range(q))
 
 
-def count_points(q: int, a: int, b: int, limit: int = ENUMERATION_LIMIT) -> int:
+def _character_sum(q: int, a: int, b: int) -> int:
+    # q + 1 + sum of chi(x^3 + ax + b); unchecked, so for composite q it can
+    # leave the Hasse interval
+    chi, _ = _square_tables(q)
+    return q + 1 + sum(chi[(t + b) % q] for t in _cubic_terms(q, a))
+
+
+def count_points(q: int, a: int, b: int) -> int:
     """#E(F_q) for prime q by summing quadratic characters of x^3 + ax + b.
 
     Counts affine solutions plus the point at infinity. For singular (q,a,b)
     the sum still counts the cubic's solutions, it just is not a group order.
     """
-    if q > limit:
-        raise ResourceLimitError(f"field size {q} exceeds enumeration limit {limit}")
-    chi, _ = _square_tables(q)
-    cubic = _cubic_terms(q, a)
-    n_points = q + 1 + sum(chi[(t + b) % q] for t in cubic)
+    if q > ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"field size {q} exceeds enumeration limit {ENUMERATION_LIMIT}")
+    n_points = _character_sum(q, a, b)
     if not is_singular(q, a, b):
         assert (q + 1 - n_points) ** 2 <= 4 * q, "point count outside Hasse interval"
     return n_points
+
+
+def _affine_points(q: int, a: int, b: int):
+    """One affine point (x, y) of y^2 = x^3 + ax + b per x that has one, by ascending x."""
+    chi, root = _square_tables(q)
+    for x, t in enumerate(_cubic_terms(q, a)):
+        rhs = (t + b) % q
+        if chi[rhs] >= 0:
+            yield Point(x, root[rhs])
 
 
 @dataclass(frozen=True)
@@ -283,42 +297,39 @@ class InvalidCurvePoint:
 _invalid_point_cache: dict[tuple[int, int, int, int], InvalidCurvePoint] = {}
 
 
-def find_invalid_curve_point(
-    e: CurveParams, g: int, limit: int = ENUMERATION_LIMIT
-) -> InvalidCurvePoint:
+def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
     """Deterministic search for a point of exact prime order g on some b' curve.
 
     Scans b' = 1, 2, ... (skipping b' == e.b and singular coefficient pairs),
-    counts the companion curve, and when g divides its order N' multiplies a
-    sampled point by N'/g. Results are cached so repeated seeded attack runs
+    counts the companion curve's points, and when g divides that order N'
+    multiplies its points, by ascending x, by N'/g until one gives a point
+    other than O. Results are cached so repeated seeded attack runs
     pay the sweep once.
 
     Raises:
         NotFoundError: no b' in [1, q-1] gives g | N'.
-        ResourceLimitError: field too large to sweep.
+        ResourceLimitError: q exceeds ENUMERATION_LIMIT.
     """
-    if e.q > limit:
-        raise ResourceLimitError(f"field size {e.q} exceeds enumeration limit {limit}")
+    if e.q > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"field size {e.q} exceeds enumeration limit {ENUMERATION_LIMIT}"
+        )
     if g < 3 or not is_probable_prime(g):
         raise ValueError(f"order must be an odd prime >= 3, got {g}")
     cache_key = (e.q, e.a, e.b, g)
     hit = _invalid_point_cache.get(cache_key)
     if hit is not None:
         return hit
-    chi, root = _square_tables(e.q)
-    cubic = _cubic_terms(e.q, e.a)
     for b_prime in range(1, e.q):
         if b_prime == e.b or is_singular(e.q, e.a, b_prime):
             continue
-        n_prime = e.q + 1 + sum(chi[(t + b_prime) % e.q] for t in cubic)
+        # not count_points: on a composite q, which a curve file can carry past a
+        # skipped parameter gate, its Hasse assertion would end the scan in a traceback
+        n_prime = _character_sum(e.q, e.a, b_prime)
         if n_prime % g:
             continue
-        cof = n_prime // g
-        for x in range(e.q):
-            rhs = (cubic[x] + b_prime) % e.q
-            if chi[rhs] < 0:
-                continue
-            w = scalar_mul(cof, Point(x, root[rhs]), e)
+        for p in _affine_points(e.q, e.a, b_prime):
+            w = scalar_mul(n_prime // g, p, e)
             if w.is_infinity:
                 continue
             # g prime and w != O force the order to be exactly g
@@ -330,24 +341,27 @@ def find_invalid_curve_point(
 
 
 def search_prime_order_curve(
-    q_min: int,
-    q_max: int,
-    rng: Random,
-    embedding_bound: int = 20,
-    limit: int = ENUMERATION_LIMIT,
-    max_tries: int = 10_000,
+    q_min: int, q_max: int, rng: Random, embedding_bound: int = 20
 ) -> CurveParams:
     """Find a curve of prime order n = #E over a prime field in [q_min, q_max].
 
     The result passes the full domain-parameter checklist: prime field,
     nonsingular, prime group order, n != q, trace nonzero, n^2 > 16q, and
-    n not dividing q^i - 1 for i up to embedding_bound. Deterministic for a
-    given rng state.
+    n not dividing q^i - 1 for i up to embedding_bound. Its base point is
+    the affine point of least x. Draws at most 10,000 odd q; deterministic
+    for a given rng state.
+
+    Raises:
+        ResourceLimitError: q_max exceeds ENUMERATION_LIMIT.
+        NotFoundError: no draw gave such a curve.
     """
-    if q_max > limit:
-        raise ResourceLimitError(f"q_max {q_max} exceeds enumeration limit {limit}")
+    if q_max > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"q_max {q_max} exceeds enumeration limit {ENUMERATION_LIMIT}"
+        )
     if q_min < 5 or q_min > q_max:
         raise ValueError(f"bad field range [{q_min}, {q_max}]")
+    max_tries = 10_000
     for _ in range(max_tries):
         q = rng.randrange(q_min | 1, q_max + 1, 2)
         if not is_probable_prime(q):
@@ -356,20 +370,16 @@ def search_prime_order_curve(
         b = rng.randrange(q)
         if is_singular(q, a, b):
             continue
-        n = count_points(q, a, b, limit)
+        n = count_points(q, a, b)
         if not is_probable_prime(n):
             continue
         if n == q or n == q + 1 or n * n <= 16 * q:
             continue
         if any(pow(q % n, i, n) == 1 for i in range(1, embedding_bound + 1)):
             continue
-        chi, root = _square_tables(q)
-        cubic = _cubic_terms(q, a)
-        for x in range(q):
-            rhs = (cubic[x] + b) % q
-            if chi[rhs] == 1:
-                # group order is prime, so any affine point generates it
-                return CurveParams(q=q, a=a, b=b, g=Point(x, root[rhs]), n=n)
+        # the group order is an odd prime, so there is no point with y = 0
+        # and any affine point generates the group
+        return CurveParams(q=q, a=a, b=b, g=next(_affine_points(q, a, b)), n=n)
     raise NotFoundError(
         f"no prime-order curve found in [{q_min}, {q_max}] after {max_tries} tries"
     )

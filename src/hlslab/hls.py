@@ -158,18 +158,10 @@ def validate_ephemeral_point(ephemeral: Point, e: CurveParams) -> None:
         raise InvalidEphemeralKeyError("ephemeral point is not in the order-n subgroup")
 
 
-def unsigncrypt(
-    sigma: SigncryptedText,
-    d_recipient: int,
-    pub_sender: Point,
-    e: CurveParams,
-    mode: Mode = Mode.VULNERABLE,
-) -> Optional[bytes]:
-    """Decrypt-and-verify; returns the message, or None when verification fails.
-
-    The hardened mode validates R before deriving anything from it. The
-    vulnerable mode computes d_B * R for whatever R arrived, on-curve or not.
-    """
+def _unsigncrypt(
+    sigma: SigncryptedText, d_recipient: int, pub_sender: Point, e: CurveParams, mode: Mode
+) -> tuple[Optional[bytes], bytes]:
+    # unsigncrypt's body, also handing back the session key it derived
     if not 1 <= d_recipient < e.n:
         raise ValueError(f"recipient key must lie in [1, {e.n - 1}]")
     if mode is Mode.HARDENED:
@@ -183,9 +175,22 @@ def unsigncrypt(
         scalar_mul(h, sigma.ephemeral, e),
         e,
     )
-    if check != pub_sender:
-        return None
-    return message
+    return (message if check == pub_sender else None), key
+
+
+def unsigncrypt(
+    sigma: SigncryptedText,
+    d_recipient: int,
+    pub_sender: Point,
+    e: CurveParams,
+    mode: Mode = Mode.VULNERABLE,
+) -> Optional[bytes]:
+    """Decrypt-and-verify; returns the message, or None when verification fails.
+
+    The hardened mode validates R before deriving anything from it. The
+    vulnerable mode computes d_B * R for whatever R arrived, on-curve or not.
+    """
+    return _unsigncrypt(sigma, d_recipient, pub_sender, e, mode)[0]
 
 
 def confirmation_oracle(
@@ -202,7 +207,8 @@ def confirmation_oracle(
     verifying anything, which hands an attacker a test oracle for the derived
     key. CONFIRM_AFTER_VERIFY answers only when unsigncryption accepts,
     returning None otherwise. HARDENED validates R (raising on refusal) and
-    then behaves like CONFIRM_AFTER_VERIFY in hardened mode.
+    then behaves like CONFIRM_AFTER_VERIFY in hardened mode. Either way the
+    tag is keyed by the session key unsigncryption derived.
     """
     if policy is ConfirmPolicy.CONFIRM_ALWAYS:
         shared = scalar_mul(d_recipient, sigma.ephemeral, e)
@@ -210,11 +216,9 @@ def confirmation_oracle(
         return confirm_message, mac(key, confirm_message)
     # under HARDENED, unsigncrypt validates R before any use of d_B
     mode = Mode.VULNERABLE if policy is ConfirmPolicy.CONFIRM_AFTER_VERIFY else Mode.HARDENED
-    message = unsigncrypt(sigma, d_recipient, pub_sender, e, mode)
+    message, key = _unsigncrypt(sigma, d_recipient, pub_sender, e, mode)
     if message is None:
         return None
-    shared = scalar_mul(d_recipient, sigma.ephemeral, e)
-    key = derive_key(shared, e, mode)
     return confirm_message, mac(key, confirm_message)
 
 

@@ -329,11 +329,7 @@ def _check(name: str, fn, extended: bool = False) -> CheckResult:
     return CheckResult(name, passed, detail, extended)
 
 
-def validate_domain_params(
-    e: CurveParams,
-    embedding_bound: int = 20,
-    limit: int = ENUMERATION_LIMIT,
-) -> ValidationReport:
+def validate_domain_params(e: CurveParams, embedding_bound: int = 20) -> ValidationReport:
     """Domain-parameter checklist.
 
     In order: prime field; nonsingular (extended); base point on curve;
@@ -391,8 +387,8 @@ def validate_domain_params(
         return ok, "n != q" if ok else "n == q (anomalous curve)"
 
     def supersingular():
-        if e.q <= limit:
-            trace = e.q + 1 - count_points(e.q, e.a, e.b, limit)
+        if e.q <= ENUMERATION_LIMIT:
+            trace = e.q + 1 - count_points(e.q, e.a, e.b)
             route = "enumerated point count"
         else:
             trace = e.q + 1 - e.cofactor * e.n

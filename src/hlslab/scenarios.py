@@ -39,6 +39,7 @@ from .hls import (
     ConfirmPolicy,
     KeyPair,
     SigncryptedText,
+    bound_hash,
     confirmation_oracle,
     gen,
     signcrypt,
@@ -117,25 +118,20 @@ def run_ephemeral_leak(e: CurveParams, mode: Mode, rng: Random) -> AttackReport:
     )
 
 
-def run_pair_scan(
-    e: CurveParams,
-    mode: Mode,
-    rng: Random,
-    pool_size: int = 4,
-    traffic_per_sender: int = 3,
-) -> AttackReport:
+def run_pair_scan(e: CurveParams, mode: Mode, rng: Random) -> AttackReport:
     """Precomputed-pair scan against senders with an enumerable ephemeral source.
 
     Vulnerable deployments draw ephemerals from a small biased pool the
     attacker has tabulated; two senders even share a scalar, so one table
     entry breaks both. Hardened deployments draw fresh uniform ephemerals,
-    leaving the attacker with an empty table and nothing to match.
+    leaving the attacker with an empty table and nothing to match. Each of
+    the two senders sends three triples. The pool holds four scalars below
+    min(n, 2^62): rng.sample cannot take a range longer than a machine word.
     """
     senders = [gen(e, rng), gen(e, rng)]
     bob = gen(e, rng)
-    pool = rng.sample(range(1, e.n), k=min(pool_size, e.n - 1))
+    pool = rng.sample(range(1, min(e.n, 1 << 62)), k=min(4, e.n - 1))
     traffic = []
-    owners = []
     if mode is Mode.VULNERABLE:
         table = PairTable.build(pool, e)
         shared_r = pool[0]  # both senders reuse this one
@@ -144,21 +140,18 @@ def run_pair_scan(
                 _message(rng), sender.d, bob.pub, e, rng, mode, forced_r=shared_r
             )
             traffic.append(sigma)
-            owners.append(sender)
-        for _ in range(traffic_per_sender - 1):
+        for _ in range(2):
             for sender in senders:
                 r = rng.choice(pool)
                 sigma = signcrypt(_message(rng), sender.d, bob.pub, e, rng, mode, forced_r=r)
                 traffic.append(sigma)
-                owners.append(sender)
     else:
         table = PairTable({})
-        for _ in range(traffic_per_sender):
+        for _ in range(3):
             for sender in senders:
                 traffic.append(
                     _honest_signcrypt(_message(rng), sender, bob.pub, e, rng, mode)
                 )
-                owners.append(sender)
     reports = scan_with_pair_table(table, traffic, bob.pub, e)
     if not reports:
         return AttackReport(
@@ -231,9 +224,9 @@ def run_forward_secrecy(e: CurveParams, mode: Mode, rng: Random) -> AttackReport
             last = forward_secrecy_break(alice.d, sigma, bob.pub, decryptor, e)
         except OracleRefusedError as exc:
             return _blocked("forward-secrecy", str(exc))
-        if last.success or "not invertible" not in " ".join(last.transcript):
+        if last.success or bound_hash(message, sigma.ephemeral, e) != 0:
             return last
-        # h happened to be 0 mod n for this draw; archive another message
+        # h = 0 mod n has no inverse, so r cannot be solved for; archive another message
     return last
 
 
@@ -279,9 +272,7 @@ def run_invalid_curve(
     return invalid_curve_attack(e, bob.pub, oracle, b"please confirm receipt", g_budget, rng)
 
 
-def run_uks(
-    e: CurveParams, mode: Mode, rng: Random, now: int = FIXED_NOW
-) -> AttackReport:
+def run_uks(e: CurveParams, mode: Mode, rng: Random) -> AttackReport:
     """Certify the victim's public key under the attacker's name."""
     require = mode is Mode.HARDENED
     ca = CertificateAuthority(
@@ -293,11 +284,11 @@ def run_uks(
     alice = gen(e, rng)
     bob = gen(e, rng)
     pop = make_pop("Alice", alice, ca.pub, e, rng) if require else None
-    alice_cert = ca.issue("Alice", alice.pub, now, 365 * 86400, pop=pop)
+    alice_cert = ca.issue("Alice", alice.pub, FIXED_NOW, 365 * 86400, pop=pop)
     message = _message(rng)
     sigma = _honest_signcrypt(message, alice, bob.pub, e, rng, mode)
     return uks_attack(
-        ca, alice_cert, bob, sigma, e, now, mode=mode, expected_plaintext=message
+        ca, alice_cert, bob, sigma, e, FIXED_NOW, mode=mode, expected_plaintext=message
     )
 
 
@@ -312,22 +303,21 @@ def run_zero_r(e: CurveParams, mode: Mode, rng: Random) -> AttackReport:
     return zero_r_probe(sigma, alice.pub, e)
 
 
-def run_weak_key(
-    e: CurveParams, mode: Mode, rng: Random, honest_sessions: int = 4
-) -> AttackReport:
+def run_weak_key(e: CurveParams, mode: Mode, rng: Random) -> AttackReport:
     """Audit session keys for the identity shared point / all-zero key.
 
-    One session is crafted degenerate: the recipient key is a small-order
-    companion-curve point (accepted because nothing validates it) and the
-    sender's ephemeral is a multiple of that order, so K = O. Hardened key
-    derivation refuses that session, leaving only clean honest ones.
+    Four sessions are honest and one is crafted degenerate: the recipient
+    key is a small-order companion-curve point (accepted because nothing
+    validates it) and the sender's ephemeral is a multiple of that order, so
+    K = O. Hardened key derivation refuses that session, leaving only clean
+    honest ones.
     Honest draws avoid x_K = 0, which at one-byte toy field widths would
     masquerade as the all-zero-key flaw under audit.
     """
     sessions = []
     transcript_extra = []
     bob = gen(e, rng)
-    for _ in range(honest_sessions):
+    for _ in range(4):
         while True:
             r = rng.randrange(1, e.n)
             shared = scalar_mul(r, bob.pub, e)

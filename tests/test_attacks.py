@@ -290,9 +290,8 @@ class TestUksAttack:
 
     def test_revocation_before_presentation_defeats_it(self, toy, setup):
         ca, alice_cert, bob, sigma, message = setup
-        report = uks_attack(
-            ca, alice_cert, bob, sigma, toy, NOW, revoke_before_presentation=True
-        )
+        ca.revoke(ca.next_serial)  # the serial the attacker's certificate will get
+        report = uks_attack(ca, alice_cert, bob, sigma, toy, NOW)
         assert not report.success
         assert any("revocation" in line for line in report.transcript)
 

@@ -344,6 +344,13 @@ class TestAttackCommand:
         assert code == 0
         assert "SUCCESS" in out
 
+    def test_pair_scan_on_secp256k1(self, run):
+        code, out, _ = run(
+            "attack", "pair-scan", "--curve", "secp256k1", "--seed", "1", "--output", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["success"] is True
+
 
 class TestDemoAll:
     def test_expectations_hold(self, run):
@@ -360,6 +367,13 @@ class TestDemoAll:
         _, first, _ = run("demo-all", "--seed", "4", "--output", "json")
         _, second, _ = run("demo-all", "--seed", "4", "--output", "json")
         assert first == second
+
+    def test_secp256k1_is_one_line_usage_error(self, run):
+        # the enumeration-based scenarios refuse a 256-bit field
+        code, _, err = run("demo-all", "--curve", "secp256k1", "--seed", "1")
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "exceeds enumeration limit" in err
 
 
 class TestFindCurve:
@@ -427,6 +441,30 @@ class TestUsageErrors:
         bad = tmp_path / "arr.json"
         bad.write_text("[1, 2]")
         assert run("keygen", "--curve", str(bad))[0] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            f"{command} {flag}"
+            for command in (
+                "ca init --dir ca",
+                "ca issue --dir ca --subject A --pubkey k.json",
+                "ca revoke --dir ca --serial 0x1",
+                "ca verify --dir ca --in c.json",
+                "ca prove --key k.json --subject A --ca-pub p.json",
+                "validate pubkey --in k.json",
+                "validate cert --in c.json --ca p.json",
+            )
+            for flag in ("--embedding-bound 8", "--skip-param-validation")
+        ]
+        + ["validate params --skip-param-validation"],
+    )
+    def test_parameter_gate_flags_only_on_gated_commands(self, run, argv):
+        # only keygen, signcrypt, unsigncrypt, attack and demo-all check the curve's
+        # parameters; validate params takes --embedding-bound for its own checklist
+        code, _, err = run(*argv.split())
+        assert code == 3
+        assert err.startswith("error: unrecognized arguments: --")
 
     @pytest.mark.parametrize(
         "argv,content",

@@ -308,7 +308,7 @@ class TestSearchPrimeOrderCurve:
     def test_impossible_range_exhausts(self):
         # over F_5 no prime order satisfies n^2 > 16q within the Hasse window
         with pytest.raises(NotFoundError):
-            search_prime_order_curve(5, 5, Random(0), max_tries=50)
+            search_prime_order_curve(5, 5, Random(0))
 
 
 class TestSerialization:

@@ -1,10 +1,12 @@
-"""Byte-identity gate: every attack scenario's JSON report, pinned by digest.
+"""Byte-identity gate: every attack scenario's JSON report, and each bundled
+curve's domain-parameter checklist, pinned by digest.
 
 `attack --output json` carries the recovered secrets, counters and the
 transcript, so any change to what a scenario computes or reports changes
 its bytes. The digests were captured from `hlslab attack <scenario> --curve
-<curve> --mode <mode> --seed 1 --output json`; the same bytes come out of a
-separate process as out of main() run in-process.
+<curve> --mode <mode> --seed 1 --output json` and `hlslab validate params
+--curve <curve> --output json`; the same bytes come out of a separate
+process as out of main() run in-process.
 """
 
 import contextlib
@@ -46,15 +48,33 @@ GOLDEN = {
     ("zero-r", "toy17", "vulnerable"): "2b3ff69959d4b33904740f711623ec2ac6144278dd708a231cedd6d3476195f9",
 }
 
+# the supersingular check's trace comes from count_points on toy17 and mid16
+VALIDATE_PARAMS_GOLDEN = {
+    "mid16": "f0cae05b7088dc2b068c23568682a0f325e833c14ae0227d2fac17b6a41ccf36",
+    "secp256k1": "205706b818c7545a97878cf6c03382338aaba9c4c1f3cb2ba941f202a6e64246",
+    "toy17": "0d9a56dec227de32795ba275a18f58de24398505fd4c0ce5f795806a412e2065",
+}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
 
 @pytest.mark.parametrize("scenario,curve,mode", sorted(GOLDEN))
 def test_attack_json_is_byte_identical(scenario, curve, mode):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(
-            ["attack", scenario, "--curve", curve, "--mode", mode, "--seed", "1",
-             "--output", "json"]
-        )
+    code, digest = _run(
+        ["attack", scenario, "--curve", curve, "--mode", mode, "--seed", "1", "--output", "json"]
+    )
     # every scenario succeeds in vulnerable mode and is blocked in hardened mode
     assert code == (0 if mode == "vulnerable" else 1)
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[scenario, curve, mode]
+    assert digest == GOLDEN[scenario, curve, mode]
+
+
+@pytest.mark.parametrize("curve", sorted(VALIDATE_PARAMS_GOLDEN))
+def test_validate_params_json_is_byte_identical(curve):
+    code, digest = _run(["validate", "params", "--curve", curve, "--output", "json"])
+    assert code == 0
+    assert digest == VALIDATE_PARAMS_GOLDEN[curve]

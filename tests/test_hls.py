@@ -31,7 +31,13 @@ from hlslab.hls import (
     unsigncrypt,
     validate_ephemeral_point,
 )
-from hlslab.primitives import hash_to_scalar, mac, stream_encrypt, x_coordinate_bytes
+from hlslab.primitives import (
+    derive_key,
+    hash_to_scalar,
+    mac,
+    stream_encrypt,
+    x_coordinate_bytes,
+)
 
 D_A, D_B, R_SCALAR, MESSAGE = 3, 7, 5, b"hi"
 
@@ -267,8 +273,6 @@ class TestConfirmationOracle:
         assert result is not None
         message, tag = result
         assert message == b"confirm"
-        from hlslab.primitives import derive_key
-
         key = derive_key(scalar_mul(bob.d, w, toy), toy, Mode.VULNERABLE)
         assert tag == mac(key, b"confirm")
 
@@ -302,6 +306,28 @@ class TestConfirmationOracle:
             valid_sigma, bob.d, alice.pub, toy, b"c", ConfirmPolicy.HARDENED
         )
         assert result is not None
+
+    def test_hardened_confirm_multiplies_no_more_than_unsigncrypt(self, mid16, monkeypatch):
+        # the tag is keyed by the session key unsigncryption derived; d_B * R is not redone
+        rng = Random(5)
+        sender, recipient = gen(mid16, rng), gen(mid16, rng)
+        sigma = signcrypt(b"counted", sender.d, recipient.pub, mid16, rng, Mode.HARDENED)
+        calls = []
+
+        def counting_scalar_mul(*args):
+            calls.append(args)
+            return scalar_mul(*args)
+
+        monkeypatch.setattr("hlslab.hls.scalar_mul", counting_scalar_mul)
+        assert unsigncrypt(sigma, recipient.d, sender.pub, mid16, Mode.HARDENED) == b"counted"
+        unsigncrypt_calls = len(calls)
+        calls.clear()
+        result = confirmation_oracle(
+            sigma, recipient.d, sender.pub, mid16, b"c", ConfirmPolicy.HARDENED
+        )
+        assert len(calls) == unsigncrypt_calls == 4
+        key = derive_key(scalar_mul(recipient.d, sigma.ephemeral, mid16), mid16, Mode.HARDENED)
+        assert result == (b"c", mac(key, b"c"))
 
 
 class TestSerialization:

@@ -5,14 +5,17 @@ from random import Random
 
 import pytest
 
+from hlslab import scenarios
+from hlslab.attacks import forward_secrecy_break
 from hlslab.curve import find_invalid_curve_point
 from hlslab.errors import OracleRefusedError
-from hlslab.hls import Mode, gen, signcrypt
+from hlslab.hls import Mode, bound_hash, gen, signcrypt
 from hlslab.scenarios import (
     FIXED_NOW,
     SCENARIOS,
     default_g_budget,
     make_decryptor,
+    run_forward_secrecy,
     run_pair_scan,
     run_weak_key,
     run_zero_r,
@@ -57,6 +60,32 @@ class TestScenarioDetails:
     def test_forward_secrecy_blocked_reason(self, toy):
         report = SCENARIOS["forward-secrecy"](toy, Mode.HARDENED, Random(69))
         assert any("blocked" in line for line in report.transcript)
+
+    def test_forward_secrecy_archives_again_after_a_zero_bound_hash(self, toy, monkeypatch):
+        # under Random(99) the first two archived messages have h = 0 mod n, which
+        # leaves r unsolvable; the third breaks (report pinned from the text-matching retry)
+        breaks = []
+
+        def recording_break(*args):
+            breaks.append(args)
+            return forward_secrecy_break(*args)
+
+        monkeypatch.setattr(scenarios, "forward_secrecy_break", recording_break)
+        report = run_forward_secrecy(toy, Mode.VULNERABLE, Random(99))
+        hashes = [bound_hash(dec(sigma), sigma.ephemeral, toy) for _, sigma, _, dec, _ in breaks]
+        assert len(hashes) == 3 and hashes[:2] == [0, 0] and hashes[2] != 0
+        assert report.to_dict() == {
+            "attack_id": "forward-secrecy",
+            "success": True,
+            "recovered": {"r": "0xd"},
+            "oracle_queries": 1,
+            "trials": 1,
+            "transcript": [
+                "querying recipient decryptor for R = Point(16, 4)",
+                "decryptor returned 47 plaintext bytes",
+                "recovered r = 13; independent re-decryption matches the plaintext",
+            ],
+        }
 
     def test_zero_r_signature_equals_key(self, toy):
         report = run_zero_r(toy, Mode.VULNERABLE, Random(70))
