@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from random import Random
@@ -384,7 +385,9 @@ def cmd_find_curve(args) -> int:
 def _add_curve_opt(p: argparse.ArgumentParser):
     p.add_argument(
         "--curve",
-        default=os.environ.get("HLSLAB_CURVE", "toy17"),
+        # None is resolved when the command runs, so HLSLAB_CURVE is read then
+        # and not when the parser is built
+        default=None,
         help="curve file path or bundled name (toy17, mid16, secp256k1);"
         " env HLSLAB_CURVE overrides the default",
     )
@@ -538,10 +541,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        if getattr(args, "curve", "") is None:
+            args.curve = os.environ.get("HLSLAB_CURVE", "toy17")
         return args.func(args)
     except ParamValidationFailure as exc:
         print("domain parameters failed validation:", file=sys.stderr)

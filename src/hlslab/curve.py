@@ -20,7 +20,7 @@ from random import Random
 from typing import Optional
 
 from .arith import hex_to_int, int_to_hex, is_probable_prime, mod_inv, require_keys
-from .errors import NotFoundError, NotInvertibleError, ResourceLimitError
+from .errors import HlsLabError, NotFoundError, NotInvertibleError, ResourceLimitError
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -250,11 +250,14 @@ def _cubic_terms(q: int, a: int) -> tuple[int, ...]:
     return tuple((x * x * x + a * x) % q for x in range(q))
 
 
+@lru_cache(maxsize=64)
 def _character_sum(q: int, a: int, b: int) -> int:
     # q + 1 + sum of chi(x^3 + ax + b); unchecked, so for composite q it can
-    # leave the Hasse interval
+    # leave the Hasse interval. Rotating chi by b turns chi[(t + b) % q] into
+    # a plain index, which saves the reduction on every term.
     chi, _ = _square_tables(q)
-    return q + 1 + sum(chi[(t + b) % q] for t in _cubic_terms(q, a))
+    shifted = chi[b:] + chi[:b]
+    return q + 1 + sum(map(shifted.__getitem__, _cubic_terms(q, a)))
 
 
 def count_points(q: int, a: int, b: int) -> int:
@@ -294,20 +297,128 @@ class InvalidCurvePoint:
     order: int
 
 
-_invalid_point_cache: dict[tuple[int, int, int, int], InvalidCurvePoint] = {}
+# Before a companion curve whose g-part may be non-cyclic is skipped, this
+# many uniformly drawn points must all give (N'/g) * P == O; the draws that
+# may be spent finding them are bounded so that no field can make the probe spin.
+_PROBES = 40
+_PROBE_DRAWS = 16 * _PROBES
+
+
+class _CompanionScan:
+    """The companion curves of one curve, counted once each by ascending b'.
+
+    counted holds (b', N') for every b' counted so far. A prime is answered
+    from those first, and the scan resumes at next_b only when none serves.
+    """
+
+    def __init__(self, e: CurveParams) -> None:
+        self.e = e
+        self.counted: list[tuple[int, int]] = []
+        self.next_b = 1
+        self.found: dict[int, InvalidCurvePoint] = {}
+
+    def _count_next(self) -> bool:
+        """Count the next companion curve; False once every b' in [1, q-1] is counted."""
+        e = self.e
+        while self.next_b < e.q:
+            b_prime = self.next_b
+            self.next_b += 1
+            if b_prime == e.b or is_singular(e.q, e.a, b_prime):
+                continue
+            # not count_points: on a composite q, which a curve file can carry past a
+            # skipped parameter gate, its Hasse assertion would end the scan in a traceback
+            self.counted.append((b_prime, _character_sum(e.q, e.a, b_prime)))
+            return True
+        return False
+
+    def point_of_order(self, g: int) -> InvalidCurvePoint:
+        hit = self.found.get(g)
+        if hit is not None:
+            return hit
+        i = 0
+        while i < len(self.counted) or self._count_next():
+            b_prime, n_prime = self.counted[i]
+            i += 1
+            if n_prime % g:
+                continue
+            w = self._point(b_prime, n_prime, g)
+            if w is not None:
+                self.found[g] = InvalidCurvePoint(b_prime=b_prime, point=w, order=g)
+                return self.found[g]
+        raise NotFoundError(f"no companion curve over F_{self.e.q} has a subgroup of order {g}")
+
+    def _point(self, b_prime: int, n_prime: int, g: int) -> Optional[Point]:
+        """The first (N'/g) * P != O over the b' curve's points P by ascending x, or None."""
+        e = self.e
+        k = n_prime // g
+        # a non-cyclic g-part needs the whole g-torsion over F_q, hence g | q - 1
+        # (Weil pairing) and g^2 | N'; only then can every product be O
+        if (e.q - 1) % g == 0 and n_prime % (g * g) == 0 and not self._probe(b_prime, k):
+            return None
+        for p in _affine_points(e.q, e.a, b_prime):
+            w = scalar_mul(k, p, e)
+            if w.is_infinity:
+                continue
+            # over a prime field, g prime and w != O force the order to be exactly g
+            if not scalar_mul(g, w, e).is_infinity:
+                raise HlsLabError(
+                    f"F_{e.q} is not a field: (N'/{g}) * P on the b'={b_prime} curve"
+                    f" does not have order {g}"
+                )
+            return w
+        return None
+
+    def _probe(self, b_prime: int, k: int) -> bool:
+        """False when _PROBES seeded uniform points P of the b' curve all give k * P == O."""
+        e = self.e
+        chi, root = _square_tables(e.q)
+        terms = _cubic_terms(e.q, e.a)
+        rng = Random(f"{e.q}:{e.a}:{b_prime}:{k}")
+        probes = 0
+        for _ in range(_PROBE_DRAWS):
+            x = rng.randrange(e.q)
+            rhs = (terms[x] + b_prime) % e.q
+            # an x with two points is kept on every draw and one with a single
+            # point (y = 0) on half of them, so every affine point is equally
+            # likely; P and -P give O together, so which root is taken is moot
+            if chi[rhs] < 0 or (chi[rhs] == 0 and rng.getrandbits(1)):
+                continue
+            if not scalar_mul(k, Point(x, root[rhs]), e).is_infinity:
+                return True
+            probes += 1
+            if probes == _PROBES:
+                return False
+        # too few points drawn to rule the curve out: let the walk decide
+        return True
+
+
+@lru_cache(maxsize=4)
+def _companion_scan(e: CurveParams) -> _CompanionScan:
+    return _CompanionScan(e)
 
 
 def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
     """Deterministic search for a point of exact prime order g on some b' curve.
 
-    Scans b' = 1, 2, ... (skipping b' == e.b and singular coefficient pairs),
-    counts the companion curve's points, and when g divides that order N'
-    multiplies its points, by ascending x, by N'/g until one gives a point
-    other than O. Results are cached so repeated seeded attack runs
-    pay the sweep once.
+    Scans b' = 1, 2, ... (skipping b' == e.b and singular coefficient pairs)
+    and counts each companion curve's points N' once per curve: the scan
+    stops at the first b' that serves g, a later call resumes it there, and
+    a prime asked for later is first answered from the N' already counted.
+    The four curves used last keep their scans.
+
+    When g | N', the curve's points are multiplied, by ascending x, by N'/g
+    until one gives a point other than O, which has order g. Such a point
+    exists exactly when the g-part of the companion group is cyclic. It can
+    be non-cyclic only when g | q - 1 and g^2 | N'; only then are 40 seeded
+    uniformly random points multiplied first, and the curve is skipped when
+    every product is O. A cyclic g-part gives O with probability below
+    1/g <= 1/3 per point, so a curve the walk would have taken is skipped
+    with probability below 3^-40.
 
     Raises:
-        NotFoundError: no b' in [1, q-1] gives g | N'.
+        NotFoundError: no b' in [1, q-1] gives (N'/g) * P != O for any P.
+        HlsLabError: q is not prime, which shows when such a product does
+            not have order g.
         ResourceLimitError: q exceeds ENUMERATION_LIMIT.
     """
     if e.q > ENUMERATION_LIMIT:
@@ -316,28 +427,7 @@ def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
         )
     if g < 3 or not is_probable_prime(g):
         raise ValueError(f"order must be an odd prime >= 3, got {g}")
-    cache_key = (e.q, e.a, e.b, g)
-    hit = _invalid_point_cache.get(cache_key)
-    if hit is not None:
-        return hit
-    for b_prime in range(1, e.q):
-        if b_prime == e.b or is_singular(e.q, e.a, b_prime):
-            continue
-        # not count_points: on a composite q, which a curve file can carry past a
-        # skipped parameter gate, its Hasse assertion would end the scan in a traceback
-        n_prime = _character_sum(e.q, e.a, b_prime)
-        if n_prime % g:
-            continue
-        for p in _affine_points(e.q, e.a, b_prime):
-            w = scalar_mul(n_prime // g, p, e)
-            if w.is_infinity:
-                continue
-            # g prime and w != O force the order to be exactly g
-            assert scalar_mul(g, w, e).is_infinity
-            found = InvalidCurvePoint(b_prime=b_prime, point=w, order=g)
-            _invalid_point_cache[cache_key] = found
-            return found
-    raise NotFoundError(f"no companion curve over F_{e.q} has a subgroup of order {g}")
+    return _companion_scan(e).point_of_order(g)
 
 
 def search_prime_order_curve(

@@ -232,20 +232,29 @@ def run_forward_secrecy(e: CurveParams, mode: Mode, rng: Random) -> AttackReport
 
 def default_g_budget(e: CurveParams) -> list[int]:
     """Ascending odd primes with product exceeding n, each admitting a
-    small-order companion-curve point over this field."""
+    small-order companion-curve point over this field.
+
+    Raises:
+        NotFoundError: the primes that admit one do not cover n. A companion
+            curve has at most 2q + 1 points, so no larger prime is tried.
+        ValueError: covering n would take more than 16 primes.
+    """
     budget = []
     product = 1
-    candidate = 3
+    candidates = (g for g in range(3, 2 * e.q + 2, 2) if is_probable_prime(g))
     while product <= e.n:
-        if is_probable_prime(candidate):
-            try:
-                find_invalid_curve_point(e, candidate)
-            except NotFoundError:
-                candidate += 2
-                continue
-            budget.append(candidate)
-            product *= candidate
-        candidate += 2
+        candidate = next(candidates, None)
+        if candidate is None:
+            raise NotFoundError(
+                f"the odd primes with a companion-curve point over F_{e.q}"
+                f" do not cover n = {e.n}"
+            )
+        try:
+            find_invalid_curve_point(e, candidate)
+        except NotFoundError:
+            continue
+        budget.append(candidate)
+        product *= candidate
         if len(budget) > 16:
             raise ValueError("needed more than 16 primes to cover n")
     return budget
@@ -312,17 +321,20 @@ def run_weak_key(e: CurveParams, mode: Mode, rng: Random) -> AttackReport:
     K = O. Hardened key derivation refuses that session, leaving only clean
     honest ones.
     Honest draws avoid x_K = 0, which at one-byte toy field widths would
-    masquerade as the all-zero-key flaw under audit.
+    masquerade as the all-zero-key flaw under audit; after 100 draws
+    without such a session NotFoundError is raised.
     """
     sessions = []
     transcript_extra = []
     bob = gen(e, rng)
     for _ in range(4):
-        while True:
+        for _ in range(100):
             r = rng.randrange(1, e.n)
             shared = scalar_mul(r, bob.pub, e)
             if not shared.is_infinity and shared.x != 0:
                 break
+        else:
+            raise NotFoundError("100 draws of r gave no r * U_B other than O with x != 0")
         sessions.append((shared, derive_key(shared, e, mode)))
     icp = find_invalid_curve_point(e, 3)
     degenerate_shared = scalar_mul(icp.order, icp.point, e)  # = O

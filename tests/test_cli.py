@@ -5,10 +5,14 @@ blocked, 2 validation or policy failure, 3 usage and file errors.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hlslab
 from conftest import DATA_DIR
 from hlslab.cli import main
 from hlslab.curve import curve_to_dict, scalar_mul
@@ -418,6 +422,33 @@ class TestCurveSelection:
         path = tmp_path / "curve.json"
         path.write_text(json.dumps(curve_to_dict(toy)))
         assert run("keygen", "--curve", str(path), "--seed", "1")[0] == 0
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
+@pytest.mark.parametrize(
+    "curve_file, scenario, code",
+    [
+        # the odd primes with a companion-curve point do not cover n
+        ("hang_budget_q9.json", "invalid-curve", 1),
+        # every r * U_B is O or has x = 0
+        ("hang_weak_key_q25.json", "weak-key", 1),
+        # composite q: a companion-curve point of the wrong order
+        ("composite_q45.json", "invalid-curve", 3),
+    ],
+)
+def test_hostile_curve_file_ends_in_one_line(curve_file, scenario, code, optimize):
+    # a fresh interpreter, so that neither a warm cache nor pytest's own
+    # assertion handling hides a hang or an assert
+    src = str(Path(hlslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, *(["-O"] if optimize else []), "-m", "hlslab.cli", "attack"]
+    argv += [scenario, "--curve", str(DATA_DIR / curve_file), "--skip-param-validation"]
+    proc = subprocess.run(
+        argv + ["--seed", "1"], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 class TestUsageErrors:

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import hlslab.curve as curve_module
 from hlslab.curve import (
     _jacobian_add_affine,
     ENUMERATION_LIMIT,
@@ -281,6 +282,76 @@ class TestFindInvalidCurvePoint:
     def test_enumeration_limit(self, secp256k1):
         with pytest.raises(ResourceLimitError):
             find_invalid_curve_point(secp256k1, 3)
+
+
+# two curves of the invalid-curve benchmark's pool: on q = 42331 the
+# g = 3 part of the b' = 1 companion curve is Z/3 x Z/3 (N' = 3^2 * 5^2 * 11 * 17)
+POOL_42331 = CurveParams(q=42331, a=19491, b=12379, g=Point(1, 20840), n=42283)
+POOL_60427 = CurveParams(q=60427, a=55303, b=3086, g=Point(1, 7843), n=60623)
+
+# default_g_budget and (order, b', x, y) per prime, captured from the
+# per-prime sweep that walked every point of a curve before moving on
+PINNED_COMPANIONS = {
+    "toy": [(3, 1, 7, 16), (7, 8, 6, 7)],
+    "mid16": [
+        (3, 1, 41792, 39184), (5, 4, 24031, 2417), (7, 8, 29783, 24146),
+        (11, 6, 19399, 27762), (13, 5, 26928, 1239), (17, 2, 25855, 40664),
+    ],
+    "pool_42331": [
+        (3, 2, 28875, 13124), (5, 3, 1173, 4002), (7, 10, 21340, 16518),
+        (11, 1, 9107, 16207), (13, 2, 26631, 26369), (17, 1, 14686, 831),
+    ],
+    "pool_60427": [
+        (3, 8, 21985, 16517), (5, 2, 52973, 4586), (7, 1, 59504, 21848),
+        (11, 9, 33482, 59667), (13, 5, 15329, 4407), (17, 37, 8016, 51207),
+    ],
+}
+
+
+def _count_calls(monkeypatch, name):
+    """Replace curve.<name> with a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(curve_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(curve_module, name, counted)
+    return calls
+
+
+class TestCompanionScan:
+    @pytest.fixture()
+    def pool_42331(self):
+        return POOL_42331
+
+    @pytest.fixture()
+    def pool_60427(self):
+        return POOL_60427
+
+    @pytest.mark.parametrize("name", sorted(PINNED_COMPANIONS))
+    def test_pinned_budget_and_points(self, request, name):
+        e = request.getfixturevalue(name)
+        expected = PINNED_COMPANIONS[name]
+        assert default_g_budget(e) == [g for g, *_ in expected]
+        for g, b_prime, x, y in expected:
+            icp = find_invalid_curve_point(e, g)
+            assert (icp.order, icp.b_prime, icp.point) == (g, b_prime, Point(x, y))
+
+    def test_cold_budget_counts_each_companion_curve_once(self, monkeypatch, mid16):
+        # the per-prime restart computed 26 character sums for these 8 curves
+        curve_module._companion_scan.cache_clear()
+        sums = _count_calls(monkeypatch, "_character_sum")
+        default_g_budget(mid16)
+        assert sorted(sums) == [(mid16.q, mid16.a, b) for b in range(1, 9)]
+
+    def test_non_cyclic_part_is_probed_not_walked(self, monkeypatch):
+        # walking every point of the Z/3 x Z/3 curve took 21,037 multiplications
+        curve_module._companion_scan.cache_clear()
+        mults = _count_calls(monkeypatch, "scalar_mul")
+        assert find_invalid_curve_point(POOL_42331, 3).b_prime == 2
+        assert len(mults) < 200
 
 
 class TestSearchPrimeOrderCurve:
