@@ -7,6 +7,11 @@ is load-bearing here: a point that satisfies y^2 = x^3 + ax + b' for some
 b' != b will be processed by these same formulas, silently moving the
 computation into the group of the wrong curve. Keep it that way.
 
+Multiples of the base point G come from a per-curve table of fixed-base
+windows (see scalar_mul). It is built only when q is prime, the curve is
+nonsingular and G satisfies its equation, so it changes the cost of k * G
+but never its result; every other curve and point takes double-and-add.
+
 Points deliberately carry no curve reference and are never checked against
 any equation on construction, because off-curve points are first-class
 inputs in this lab.
@@ -162,8 +167,11 @@ def _jacobian_double(pt: tuple[int, int, int], e: CurveParams) -> tuple[int, int
     q = e.q
     yy = y * y % q
     s = 4 * x * yy % q
-    zz = z * z % q
-    m = (3 * x * x + e.a * zz * zz) % q
+    if e.a == 0:
+        m = 3 * x * x % q
+    else:
+        zz = z * z % q
+        m = (3 * x * x + e.a * zz * zz) % q
     x3 = (m * m - 2 * s) % q
     y3 = (m * (s - x3) - 8 * yy * yy) % q
     return x3, y3, 2 * y * z % q
@@ -202,29 +210,127 @@ def _jacobian_add_affine(
     return x3, y3, z1 * h % q
 
 
+def _scaled(x: int, y: int, z_inv: int, q: int) -> Point:
+    # the affine point (X/Z^2, Y/Z^3), given 1/Z
+    z_inv2 = z_inv * z_inv % q
+    return Point(x * z_inv2 % q, y * z_inv2 * z_inv % q)
+
+
+def _to_affine(pt: tuple[int, int, int], q: int) -> Point:
+    x, y, z = pt
+    return INFINITY if z == 0 else _scaled(x, y, mod_inv(z, q), q)
+
+
+def _batch_to_affine(pts: list[tuple[int, int, int]], q: int) -> list[Optional[Point]]:
+    """Affine form of every Jacobian point, None for O, with one field inversion.
+
+    Montgomery's trick: invert the product of all nonzero Z once, then peel
+    each Z's inverse off it with two multiplications. q must be prime.
+    """
+    zs = [z for _, _, z in pts if z]
+    prefix = []
+    acc = 1
+    for z in zs:
+        prefix.append(acc)
+        acc = acc * z % q
+    inv = mod_inv(acc, q)
+    z_invs = [0] * len(zs)
+    for i in range(len(zs) - 1, -1, -1):
+        z_invs[i] = inv * prefix[i] % q
+        inv = inv * zs[i] % q
+    it = iter(z_invs)
+    return [_scaled(x, y, next(it), q) if z else None for x, y, z in pts]
+
+
+# Bits per digit of k in the fixed-base table for G, and the largest digit.
+_WINDOW = 4
+_DIGIT_MAX = (1 << _WINDOW) - 1
+_Table = tuple[tuple[Optional[Point], ...], ...]
+
+
+@lru_cache(maxsize=4)
+def _g_table(e: CurveParams) -> Optional[_Table]:
+    """Row i holds j * 16^i * G for j = 1..15 (None for O), one row per digit of n.
+
+    Fixed-base windowing (Hankerson, Menezes and Vanstone, Guide to Elliptic
+    Curve Cryptography, section 3.3.2). None unless q is prime, e is
+    nonsingular and G satisfies e's equation: only then is every addition
+    chain for k * G the same group computation as double-and-add, with the
+    same result and no exception. Built with 4 doublings from one row's
+    base to the next, 14 mixed additions per row and two field inversions
+    in all.
+    """
+    g, q = e.g, e.q
+    if not is_on_curve(g, e) or is_singular(q, e.a, e.b) or not is_probable_prime(q):
+        return None
+    rows = -(-e.n.bit_length() // _WINDOW)
+    bases = [_jacobian_add_affine(_JACOBIAN_INFINITY, g, e)]
+    for _ in range(rows - 1):
+        pt = bases[-1]
+        for _ in range(_WINDOW):
+            pt = _jacobian_double(pt, e)
+        bases.append(pt)
+    entries = []
+    for base in _batch_to_affine(bases, q):
+        # a base point of small order makes whole rows O
+        pt = _JACOBIAN_INFINITY
+        for _ in range(_DIGIT_MAX):
+            if base is not None:
+                pt = _jacobian_add_affine(pt, base, e)
+            entries.append(pt)
+    affine = _batch_to_affine(entries, q)
+    return tuple(tuple(affine[i : i + _DIGIT_MAX]) for i in range(0, len(affine), _DIGIT_MAX))
+
+
+def _fixed_base_mul(k: int, table: _Table, e: CurveParams) -> Point:
+    # one table entry per nonzero digit of k, summed by mixed addition
+    acc = _JACOBIAN_INFINITY
+    for row in table:
+        if not k:
+            break
+        digit = k & _DIGIT_MAX
+        if digit and row[digit - 1] is not None:
+            acc = _jacobian_add_affine(acc, row[digit - 1], e)
+        k >>= _WINDOW
+    return _to_affine(acc, e.q)
+
+
+def _double_and_add(k: int, p: Point, e: CurveParams) -> Point:
+    # k >= 1 and p != O
+    acc = _jacobian_add_affine(_JACOBIAN_INFINITY, p, e)
+    for bit in bin(k)[3:]:
+        acc = _jacobian_double(acc, e)
+        if bit == "1":
+            acc = _jacobian_add_affine(acc, p, e)
+    return _to_affine(acc, e.q)
+
+
 def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
     """k-fold sum of p; k is used as-is, never reduced.
 
     Left-to-right double-and-add in Jacobian coordinates with mixed
     Jacobian+affine addition, so the only field inversion is the single
     conversion back to affine at the end.
+
+    When p is e's base point G, q is prime, e is nonsingular and G
+    satisfies e's equation, k * G is instead the sum of one entry per
+    nonzero 4-bit digit of k from a per-curve table of multiples of G (the
+    four curves used last keep theirs), with no doublings and the same one
+    inversion. A k wider than the table, which has one digit per 4 bits of
+    n, takes double-and-add. The formulas of both paths read only q and a,
+    never b. b is read only to check that G lies on e, which picks the path
+    but not the result: on such a curve both paths are the same group
+    computation, and anywhere else double-and-add runs as it always has.
     """
     if k < 0:
         raise ValueError(f"scalar must be nonnegative, got {k}")
     if k == 0 or p.is_infinity:
         return INFINITY
-    acc = _jacobian_add_affine(_JACOBIAN_INFINITY, p, e)
-    for bit in bin(k)[3:]:
-        acc = _jacobian_double(acc, e)
-        if bit == "1":
-            acc = _jacobian_add_affine(acc, p, e)
-    x, y, z = acc
-    if z == 0:
-        return INFINITY
-    q = e.q
-    z_inv = mod_inv(z, q)
-    z_inv2 = z_inv * z_inv % q
-    return Point(x * z_inv2 % q, y * z_inv2 * z_inv % q)
+    if p == e.g:
+        table = _g_table(e)
+        if table is not None and k.bit_length() <= _WINDOW * len(table):
+            return _fixed_base_mul(k, table, e)
+    return _double_and_add(k, p, e)
 
 
 @lru_cache(maxsize=4)

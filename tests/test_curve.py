@@ -9,8 +9,11 @@ from random import Random
 
 import pytest
 
+from conftest import load_bad_fixture
 import hlslab.curve as curve_module
 from hlslab.curve import (
+    _double_and_add,
+    _g_table,
     _jacobian_add_affine,
     ENUMERATION_LIMIT,
     INFINITY,
@@ -352,6 +355,84 @@ class TestCompanionScan:
         mults = _count_calls(monkeypatch, "scalar_mul")
         assert find_invalid_curve_point(POOL_42331, 3).b_prime == 2
         assert len(mults) < 200
+
+
+def _outcome(k, p, e, mul):
+    """mul(k, p, e), or the type and message of what it raised."""
+    try:
+        return mul(k, p, e)
+    except Exception as exc:  # the fallback must keep every exception as it was
+        return type(exc), str(exc)
+
+
+# F_17, a = 2, b = 0: 20 points; G = (8, 1) has order 5, so with a declared
+# n of 2^12 - 1 the table has 3 rows, each G, 2G, ..., with O at j = 5, 10, 15
+HOST_20 = CurveParams(q=17, a=2, b=0, g=Point(8, 1), n=5, cofactor=4)
+SMALL_ORDER_G = dataclasses.replace(HOST_20, n=(1 << 12) - 1)
+
+
+class TestFixedBaseTable:
+    @pytest.mark.parametrize("name", ["toy", "mid16", "secp256k1"])
+    def test_table_equals_double_and_add(self, request, name):
+        e = request.getfixturevalue(name)
+        width = 4 * len(_g_table(e))
+        assert len(_g_table(e)) == -(-e.n.bit_length() // 4)
+        rng = Random(name)
+        scalars = [1, 15, 16, 17, e.n - 1, e.n, e.n + 1, 2**width - 1, 2**width]
+        scalars += [rng.randrange(1, 2 * e.n) for _ in range(50)]
+        for k in scalars:
+            assert scalar_mul(k, e.g, e) == _double_and_add(k, e.g, e), k
+
+    def test_every_entry_is_its_multiple(self, toy):
+        for i, row in enumerate(_g_table(toy)):
+            for j, entry in enumerate(row, start=1):
+                assert entry == affine_scalar_mul(j * 16**i, toy.g, toy), (i, j)
+
+    def test_small_order_base_point_leaves_o_entries(self):
+        rows = _g_table(SMALL_ORDER_G)
+        assert len(rows) == 3
+        for row in rows:
+            assert [entry is None for entry in row] == [j % 5 == 0 for j in range(1, 16)]
+        for k in range(2**12 + 3):
+            expected = affine_scalar_mul(k, SMALL_ORDER_G.g, SMALL_ORDER_G)
+            assert scalar_mul(k, SMALL_ORDER_G.g, SMALL_ORDER_G) == expected, k
+
+    def test_cofactor_four_host_takes_the_table(self):
+        assert _g_table(HOST_20) is not None
+        for k in range(1, 40):
+            assert scalar_mul(k, HOST_20.g, HOST_20) == _double_and_add(k, HOST_20.g, HOST_20)
+
+    # b = 43 puts composite_q45's G on a nonsingular curve, so only q's
+    # primality keeps that one off the table
+    @pytest.mark.parametrize(
+        "name,b", [("bad_base_point", None), ("composite_q45", None), ("composite_q45", 43)]
+    )
+    def test_hostile_curve_keeps_double_and_add(self, name, b):
+        # a G off e's equation, or a composite q, gets no table: every
+        # result and every exception stays double-and-add's
+        e = load_bad_fixture(name)
+        if b is not None:
+            e = dataclasses.replace(e, b=b)
+            assert is_on_curve(e.g, e) and not is_singular(e.q, e.a, e.b)
+        assert _g_table(e) is None
+        outcomes = [_outcome(k, e.g, e, scalar_mul) for k in range(1, 300)]
+        assert outcomes == [_outcome(k, e.g, e, _double_and_add) for k in range(1, 300)]
+        assert any(isinstance(o, tuple) for o in outcomes) == (name == "composite_q45")
+
+    def test_singular_curve_gets_no_table(self):
+        # y^2 = x^3 over F_17 is singular; (1, 1) lies on it
+        cusp = CurveParams(q=17, a=0, b=0, g=Point(1, 1), n=17)
+        assert is_on_curve(cusp.g, cusp)
+        assert _g_table(cusp) is None
+
+    def test_scalar_mul_stays_the_only_public_multiplication(self, monkeypatch, mid16):
+        # a cold table is built without the public scalar_mul, so each k * G
+        # is one scalar_mul call, as the benchmark's scalar_mul counts assume
+        assert [name for name in curve_module.__all__ if "mul" in name] == ["scalar_mul"]
+        _g_table.cache_clear()
+        mults = _count_calls(monkeypatch, "scalar_mul")
+        curve_module.scalar_mul(12345, mid16.g, mid16)
+        assert len(mults) == 1
 
 
 class TestSearchPrimeOrderCurve:

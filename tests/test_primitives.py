@@ -98,6 +98,17 @@ class TestStreamCipher:
         )
         assert stream_encrypt(key, zeros) == expected
 
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 65, 100, 1000])
+    def test_matches_bytewise_xor(self, length):
+        # leading zero bytes survive, in the message and in the ciphertext
+        # alike, as they must for any faster XOR that replaces this one
+        key = b"\x07"
+        keystream = stream_encrypt(key, bytes(length))
+        rng = Random(length)
+        for message in (rng.randbytes(length), bytes(length), keystream):
+            expected = bytes(m ^ k for m, k in zip(message, keystream))
+            assert stream_encrypt(key, message) == expected
+
     def test_wrong_key_garbles(self):
         c = stream_encrypt(b"\x01", b"attack at dawn")
         assert stream_decrypt(b"\x02", c) != b"attack at dawn"
