@@ -7,10 +7,18 @@ is load-bearing here: a point that satisfies y^2 = x^3 + ax + b' for some
 b' != b will be processed by these same formulas, silently moving the
 computation into the group of the wrong curve. Keep it that way.
 
-Multiples of the base point G come from a per-curve table of fixed-base
-windows (see scalar_mul). It is built only when q is prime, the curve is
-nonsingular and G satisfies its equation, so it changes the cost of k * G
-but never its result; every other curve and point takes double-and-add.
+scalar_mul has three paths (see its docstring). Once per curve it works out
+what the parameters let it rely on. When q is prime, e is nonsingular and G
+lies on e, multiples of G come from a table of fixed-base windows. When
+besides n is prime, n * G == O and 2n > q + 1 + floor(2 sqrt q), Hasse's
+bound proves E(F_q) cyclic of order n, whatever cofactor the parameters
+declare; a point on such a curve has its k reduced mod n, and on a = 0
+curves with q == n == 1 mod 3 its multiple is split by the GLV
+endomorphism. Every other curve and point takes plain double-and-add with k
+as given. b only picks the path, by telling whether G and the point lie on
+e; it never changes the result, because every path computes the same group
+element, and a point off e (a companion-curve point of the invalid-curve
+attack) is multiplied exactly as before, unreduced and unsplit.
 
 Points deliberately carry no curve reference and are never checked against
 any equation on construction, because off-curve points are first-class
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from random import Random
 from typing import Optional
 
@@ -246,25 +255,78 @@ def _batch_to_affine(pts: list[tuple[int, int, int]], q: int) -> list[Optional[P
 _WINDOW = 4
 _DIGIT_MAX = (1 << _WINDOW) - 1
 _Table = tuple[tuple[Optional[Point], ...], ...]
+# (beta, lambda, ((a1, b1), (a2, b2))): phi(x, y) = (beta * x, y) acts on
+# E(F_q) as multiplication by lambda, and a_i + b_i * lambda == 0 mod n
+_Basis = tuple[tuple[int, int], tuple[int, int]]
+_Glv = tuple[int, int, _Basis]
+
+
+@dataclass(frozen=True)
+class _Group:
+    """What scalar_mul may rely on for one curve, worked out once per curve.
+
+    table: the fixed-base windows for G, or None.
+    prime_order: E(F_q) is proven cyclic of prime order n.
+    glv: the GLV constants, or None.
+    """
+
+    table: Optional[_Table] = None
+    prime_order: bool = False
+    glv: Optional[_Glv] = None
 
 
 @lru_cache(maxsize=4)
-def _g_table(e: CurveParams) -> Optional[_Table]:
+def _group(e: CurveParams) -> _Group:
+    """The table, the group-order proof and the GLV constants of e.
+
+    The table needs q prime, e nonsingular and G != O on e: only then is
+    every addition chain for k * G the same group computation as
+    double-and-add, with the same result and no exception.
+
+    The proof adds: n is prime, double-and-add gives n * G == O, and
+    2n > q + 1 + floor(2 sqrt q). Then G has order n, so n divides #E, and
+    by Hasse #E <= q + 1 + 2 sqrt q < 2n, so #E == n. It never reads
+    e.cofactor, which a curve file can get wrong.
+
+    The GLV constants exist when the order is proven, a == 0 and
+    q == n == 1 mod 3: then (x, y) -> (beta * x, y) is an automorphism of
+    E(F_q) of order 3, which on a cyclic group of prime order acts as
+    multiplication by a root lambda of lambda^2 + lambda + 1 mod n. Of the
+    two roots, the one with lambda * G == (beta * x_G, y_G) is kept.
+    """
+    g, q, n = e.g, e.q, e.n
+    if g.is_infinity or not is_on_curve(g, e) or is_singular(q, e.a, e.b):
+        return _Group()
+    if not is_probable_prime(q):
+        return _Group()
+    table = _fixed_base_table(e)
+    proven = (
+        2 * n > q + 1 + isqrt(4 * q)
+        and is_probable_prime(n)
+        and _double_and_add(n, g, e).is_infinity
+    )
+    if not (proven and e.a == 0 and q % 3 == 1 and n % 3 == 1):
+        return _Group(table, proven)
+    beta = _cube_root_of_unity(q)
+    phi_g = Point(beta * g.x % q, g.y)
+    w = _cube_root_of_unity(n)
+    for lam in (w, w * w % n):
+        if _fixed_base_mul(lam, table, e) == phi_g:
+            return _Group(table, True, (beta, lam, _short_basis(n, lam)))
+    return _Group(table, True)
+
+
+def _fixed_base_table(e: CurveParams) -> _Table:
     """Row i holds j * 16^i * G for j = 1..15 (None for O), one row per digit of n.
 
     Fixed-base windowing (Hankerson, Menezes and Vanstone, Guide to Elliptic
-    Curve Cryptography, section 3.3.2). None unless q is prime, e is
-    nonsingular and G satisfies e's equation: only then is every addition
-    chain for k * G the same group computation as double-and-add, with the
-    same result and no exception. Built with 4 doublings from one row's
-    base to the next, 14 mixed additions per row and two field inversions
-    in all.
+    Curve Cryptography, section 3.3.2). Built with 4 doublings from one
+    row's base to the next, 14 mixed additions per row and two field
+    inversions in all.
     """
-    g, q = e.g, e.q
-    if not is_on_curve(g, e) or is_singular(q, e.a, e.b) or not is_probable_prime(q):
-        return None
+    q = e.q
     rows = -(-e.n.bit_length() // _WINDOW)
-    bases = [_jacobian_add_affine(_JACOBIAN_INFINITY, g, e)]
+    bases = [_jacobian_add_affine(_JACOBIAN_INFINITY, e.g, e)]
     for _ in range(rows - 1):
         pt = bases[-1]
         for _ in range(_WINDOW):
@@ -280,6 +342,74 @@ def _g_table(e: CurveParams) -> Optional[_Table]:
             entries.append(pt)
     affine = _batch_to_affine(entries, q)
     return tuple(tuple(affine[i : i + _DIGIT_MAX]) for i in range(0, len(affine), _DIGIT_MAX))
+
+
+def _cube_root_of_unity(p: int) -> int:
+    # a cube root of 1 other than 1 mod a prime p == 1 mod 3: c^((p-1)/3)
+    # for the first c that is not a cube
+    c = 2
+    while (w := pow(c, (p - 1) // 3, p)) == 1:
+        c += 1
+    return w
+
+
+def _short_basis(n: int, lam: int) -> _Basis:
+    """Two short vectors (a, b) with a + b * lam == 0 mod n and a1 b2 - a2 b1 == n.
+
+    Extended Euclid on (n, lam) gives remainders r_i == t_i * lam mod n.
+    With r_l the last remainder >= sqrt(n), the basis is (r_{l+1}, -t_{l+1})
+    and the shorter of (r_l, -t_l) and (r_{l+2}, -t_{l+2}) (Guide to
+    Elliptic Curve Cryptography, Algorithm 3.74).
+    """
+    r0, r1, t0, t1 = n, lam, 0, 1
+    while r1 * r1 >= n:
+        quo = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+    quo = r0 // r1
+    r2, t2 = r0 - quo * r1, t0 - quo * t1
+    a1, b1 = r1, -t1
+    a2, b2 = (r0, -t0) if r0 * r0 + t0 * t0 <= r2 * r2 + t2 * t2 else (r2, -t2)
+    if a1 * b2 - a2 * b1 < 0:
+        a2, b2 = -a2, -b2
+    return (a1, b1), (a2, b2)
+
+
+def _glv_split(k: int, n: int, basis: _Basis) -> tuple[int, int]:
+    # k1 + k2 * lam == k mod n, with |k1| and |k2| about sqrt(n): subtract
+    # from (k, 0) the lattice vector nearest to it, rounding (k, 0) =
+    # (b2 k / n) v1 - (b1 k / n) v2 to integer coefficients
+    (a1, b1), (a2, b2) = basis
+    c1 = (2 * b2 * k + n) // (2 * n)
+    c2 = (-2 * b1 * k + n) // (2 * n)
+    return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
+
+
+def _glv_mul(k: int, p: Point, glv: _Glv, e: CurveParams) -> Point:
+    """k * p as k1 * p + k2 * phi(p), by one Straus-Shamir double-and-add.
+
+    p lies on e and 0 < k < n. Each step doubles once and adds p, phi(p) or
+    their sum, chosen by one bit of |k1| and of |k2|; the signs of k1 and k2
+    are folded into the points. p + phi(p) == (1 + lam) * p is never O,
+    because lam is neither 1 nor -1 mod n for n > 3.
+    """
+    q = e.q
+    beta, _, basis = glv
+    k1, k2 = _glv_split(k, e.n, basis)
+    p1 = Point(p.x % q, p.y % q)
+    p2 = Point(beta * p1.x % q, p1.y)
+    if k1 < 0:
+        k1, p1 = -k1, point_neg(p1, e)
+    if k2 < 0:
+        k2, p2 = -k2, point_neg(p2, e)
+    addends = (None, p1, p2, _to_affine(_jacobian_add_affine((p1.x, p1.y, 1), p2, e), q))
+    width = max(k1.bit_length(), k2.bit_length())
+    acc = _JACOBIAN_INFINITY
+    for bit1, bit2 in zip(f"{k1:0{width}b}", f"{k2:0{width}b}"):
+        acc = _jacobian_double(acc, e)
+        digit = (bit1 == "1") + 2 * (bit2 == "1")
+        if digit:
+            acc = _jacobian_add_affine(acc, addends[digit], e)
+    return _to_affine(acc, q)
 
 
 def _fixed_base_mul(k: int, table: _Table, e: CurveParams) -> Point:
@@ -306,30 +436,60 @@ def _double_and_add(k: int, p: Point, e: CurveParams) -> Point:
 
 
 def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
-    """k-fold sum of p; k is used as-is, never reduced.
+    """k-fold sum of p, by one of three paths that give the same point.
 
-    Left-to-right double-and-add in Jacobian coordinates with mixed
-    Jacobian+affine addition, so the only field inversion is the single
-    conversion back to affine at the end.
+    Every path works in Jacobian coordinates with mixed Jacobian+affine
+    addition, so the only field inversion is the conversion back to affine
+    at the end, and every formula reads only q and a, never b.
 
-    When p is e's base point G, q is prime, e is nonsingular and G
-    satisfies e's equation, k * G is instead the sum of one entry per
-    nonzero 4-bit digit of k from a per-curve table of multiples of G (the
-    four curves used last keep theirs), with no doublings and the same one
-    inversion. A k wider than the table, which has one digit per 4 bits of
-    n, takes double-and-add. The formulas of both paths read only q and a,
-    never b. b is read only to check that G lies on e, which picks the path
-    but not the result: on such a curve both paths are the same group
-    computation, and anywhere else double-and-add runs as it always has.
+    Which path runs depends on what is known about e, worked out once per
+    curve (the four curves used last keep it), and on whether p satisfies
+    e's equation:
+
+    - p on e, and E(F_q) proven cyclic of prime order n: q is prime, e is
+      nonsingular, G != O lies on e, n is prime, n * G == O and
+      2n > q + 1 + floor(2 sqrt q), so by Hasse's bound #E == n. Then k is
+      reduced mod n, and k == 0 gives O. k * G is the sum of one entry per
+      nonzero 4-bit digit of k from a table of multiples of G, with no
+      doublings. When a == 0 and q == n == 1 mod 3, any other k * p is
+      k1 * p + k2 * phi(p) with phi(x, y) = (beta * x, y), beta^3 == 1,
+      and |k1|, |k2| about sqrt(n) (Gallant, Lambert and Vanstone, CRYPTO
+      2001), taken by one double-and-add over both points, with half the
+      doublings.
+    - p == G on e, q prime and e nonsingular, the order unproven (a
+      cofactor above 1, or a wrong n): k * G comes from the same table
+      while k fits it, with k used as-is.
+    - anything else, including every point off e: left-to-right
+      double-and-add with k used as-is, never reduced.
+
+    b is read only by the on-curve tests, which pick the path but never the
+    result: on a curve whose group is known, every path computes the same
+    group element, and off e the double-and-add runs as it always has. That
+    is what keeps the invalid-curve attack working: a point of a companion
+    curve y^2 = x^3 + ax + b' is multiplied in that curve's group, and its
+    k is not reduced mod n.
     """
     if k < 0:
         raise ValueError(f"scalar must be nonnegative, got {k}")
     if k == 0 or p.is_infinity:
         return INFINITY
     if p == e.g:
-        table = _g_table(e)
-        if table is not None and k.bit_length() <= _WINDOW * len(table):
-            return _fixed_base_mul(k, table, e)
+        # a table exists only for a G on e
+        group = _group(e)
+        if group.prime_order:
+            return _fixed_base_mul(k % e.n, group.table, e)
+        if group.table is not None and k.bit_length() <= _WINDOW * len(group.table):
+            return _fixed_base_mul(k, group.table, e)
+    # for any other point, reducing k changes the work only when k >= n,
+    # and splitting it needs a == 0; every other k skips both checks
+    elif (k >= e.n or e.a == 0) and is_on_curve(p, e):
+        group = _group(e)
+        if group.prime_order:
+            k %= e.n
+            if k == 0:
+                return INFINITY
+            if group.glv is not None:
+                return _glv_mul(k, p, group.glv, e)
     return _double_and_add(k, p, e)
 
 

@@ -2,10 +2,11 @@
 and the recipient's confirmation-tag oracle.
 
 Two modes share one algorithm. The vulnerable mode is the scheme as designed,
-weaknesses included; the hardened mode adds exactly four refusals: no caller
-supplied ephemerals, no zero bound hash, no identity shared point, and no
-unvalidated ephemeral public point. On honest inputs that pass every check,
-the two modes compute byte-identical results.
+weaknesses included; the hardened mode adds exactly five refusals: no caller
+supplied ephemerals, no zero bound hash, no identity shared point, no
+unvalidated recipient public key, and no unvalidated ephemeral public point.
+On honest inputs that pass every check, the two modes compute byte-identical
+results.
 
 Sign equation: s = (d_A - h*r) mod n with h = H(M || x_R) mod n.
 Verification: s*G + h*R == U_A, equivalent to d_A == (s + h*r) mod n.
@@ -32,7 +33,13 @@ from .curve import (
     point_to_obj,
     scalar_mul,
 )
-from .errors import ForcedEphemeralError, InvalidEphemeralKeyError, ZeroHashError
+from .errors import (
+    ForcedEphemeralError,
+    HardenedRefusalError,
+    InvalidEphemeralKeyError,
+    PublicKeyInvalidError,
+    ZeroHashError,
+)
 from .primitives import (
     Mode,
     derive_key,
@@ -119,7 +126,9 @@ def signcrypt(
     forced_r is a reproducibility hook standing in for a compromised or
     biased ephemeral source; it may be 0, which produces R = O and s = d_A
     on the wire. The hardened mode refuses it outright, along with a zero
-    bound hash and an identity shared point.
+    bound hash and an identity shared point, and it refuses a recipient key
+    that is O, has a coordinate outside [0, q-1], does not satisfy e's
+    equation or has n * U_B != O, with PublicKeyInvalidError.
     """
     if not 1 <= d_sender < e.n:
         raise ValueError(f"sender key must lie in [1, {e.n - 1}]")
@@ -131,6 +140,9 @@ def signcrypt(
         r = forced_r
     else:
         r = rng.randrange(1, e.n)
+    if mode is Mode.HARDENED:
+        # r * U_B for a U_B outside the order-n group leaks r mod its order
+        _require_subgroup_point(pub_recipient, e, PublicKeyInvalidError, "recipient key")
     ephemeral = scalar_mul(r, e.g, e)
     shared = scalar_mul(r, pub_recipient, e)
     key = derive_key(shared, e, mode)
@@ -142,20 +154,28 @@ def signcrypt(
     return SigncryptedText(ciphertext=ciphertext, ephemeral=ephemeral, signature=s)
 
 
+def _require_subgroup_point(
+    p: Point, e: CurveParams, error: type[HardenedRefusalError], noun: str
+) -> None:
+    # nonidentity, reduced coordinates, on e, and n * p == O; on a curve whose
+    # group is proven to have prime order n the last check costs nothing
+    if p.is_infinity:
+        raise error(f"{noun} point is the identity")
+    if not (0 <= p.x < e.q and 0 <= p.y < e.q):
+        raise error(f"{noun} coordinates out of field range")
+    if not is_on_curve(p, e):
+        raise error(f"{noun} point does not satisfy the curve equation")
+    if not scalar_mul(e.n, p, e).is_infinity:
+        raise error(f"{noun} point is not in the order-n subgroup")
+
+
 def validate_ephemeral_point(ephemeral: Point, e: CurveParams) -> None:
     """Hardened-mode gate on an incoming R: nonidentity, on-curve, right order.
 
     Raises InvalidEphemeralKeyError so callers can distinguish this refusal
     from a failed signature verification.
     """
-    if ephemeral.is_infinity:
-        raise InvalidEphemeralKeyError("ephemeral point is the identity")
-    if not (0 <= ephemeral.x < e.q and 0 <= ephemeral.y < e.q):
-        raise InvalidEphemeralKeyError("ephemeral coordinates out of field range")
-    if not is_on_curve(ephemeral, e):
-        raise InvalidEphemeralKeyError("ephemeral point does not satisfy the curve equation")
-    if not scalar_mul(e.n, ephemeral, e).is_infinity:
-        raise InvalidEphemeralKeyError("ephemeral point is not in the order-n subgroup")
+    _require_subgroup_point(ephemeral, e, InvalidEphemeralKeyError, "ephemeral")
 
 
 def _unsigncrypt(

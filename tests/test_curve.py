@@ -9,11 +9,12 @@ from random import Random
 
 import pytest
 
-from conftest import load_bad_fixture
+from conftest import HOST_20, load_bad_fixture, outcome
 import hlslab.curve as curve_module
 from hlslab.curve import (
     _double_and_add,
-    _g_table,
+    _glv_split,
+    _group,
     _jacobian_add_affine,
     ENUMERATION_LIMIT,
     INFINITY,
@@ -357,17 +358,8 @@ class TestCompanionScan:
         assert len(mults) < 200
 
 
-def _outcome(k, p, e, mul):
-    """mul(k, p, e), or the type and message of what it raised."""
-    try:
-        return mul(k, p, e)
-    except Exception as exc:  # the fallback must keep every exception as it was
-        return type(exc), str(exc)
-
-
-# F_17, a = 2, b = 0: 20 points; G = (8, 1) has order 5, so with a declared
-# n of 2^12 - 1 the table has 3 rows, each G, 2G, ..., with O at j = 5, 10, 15
-HOST_20 = CurveParams(q=17, a=2, b=0, g=Point(8, 1), n=5, cofactor=4)
+# HOST_20's G has order 5, so with a declared n of 2^12 - 1 the table has
+# 3 rows, each G, 2G, ..., with O at j = 5, 10, 15
 SMALL_ORDER_G = dataclasses.replace(HOST_20, n=(1 << 12) - 1)
 
 
@@ -375,8 +367,8 @@ class TestFixedBaseTable:
     @pytest.mark.parametrize("name", ["toy", "mid16", "secp256k1"])
     def test_table_equals_double_and_add(self, request, name):
         e = request.getfixturevalue(name)
-        width = 4 * len(_g_table(e))
-        assert len(_g_table(e)) == -(-e.n.bit_length() // 4)
+        width = 4 * len(_group(e).table)
+        assert len(_group(e).table) == -(-e.n.bit_length() // 4)
         rng = Random(name)
         scalars = [1, 15, 16, 17, e.n - 1, e.n, e.n + 1, 2**width - 1, 2**width]
         scalars += [rng.randrange(1, 2 * e.n) for _ in range(50)]
@@ -384,12 +376,12 @@ class TestFixedBaseTable:
             assert scalar_mul(k, e.g, e) == _double_and_add(k, e.g, e), k
 
     def test_every_entry_is_its_multiple(self, toy):
-        for i, row in enumerate(_g_table(toy)):
+        for i, row in enumerate(_group(toy).table):
             for j, entry in enumerate(row, start=1):
                 assert entry == affine_scalar_mul(j * 16**i, toy.g, toy), (i, j)
 
     def test_small_order_base_point_leaves_o_entries(self):
-        rows = _g_table(SMALL_ORDER_G)
+        rows = _group(SMALL_ORDER_G).table
         assert len(rows) == 3
         for row in rows:
             assert [entry is None for entry in row] == [j % 5 == 0 for j in range(1, 16)]
@@ -398,7 +390,7 @@ class TestFixedBaseTable:
             assert scalar_mul(k, SMALL_ORDER_G.g, SMALL_ORDER_G) == expected, k
 
     def test_cofactor_four_host_takes_the_table(self):
-        assert _g_table(HOST_20) is not None
+        assert _group(HOST_20).table is not None
         for k in range(1, 40):
             assert scalar_mul(k, HOST_20.g, HOST_20) == _double_and_add(k, HOST_20.g, HOST_20)
 
@@ -414,25 +406,102 @@ class TestFixedBaseTable:
         if b is not None:
             e = dataclasses.replace(e, b=b)
             assert is_on_curve(e.g, e) and not is_singular(e.q, e.a, e.b)
-        assert _g_table(e) is None
-        outcomes = [_outcome(k, e.g, e, scalar_mul) for k in range(1, 300)]
-        assert outcomes == [_outcome(k, e.g, e, _double_and_add) for k in range(1, 300)]
+        assert _group(e).table is None
+        outcomes = [outcome(k, e.g, e, scalar_mul) for k in range(1, 300)]
+        assert outcomes == [outcome(k, e.g, e, _double_and_add) for k in range(1, 300)]
         assert any(isinstance(o, tuple) for o in outcomes) == (name == "composite_q45")
 
     def test_singular_curve_gets_no_table(self):
         # y^2 = x^3 over F_17 is singular; (1, 1) lies on it
         cusp = CurveParams(q=17, a=0, b=0, g=Point(1, 1), n=17)
         assert is_on_curve(cusp.g, cusp)
-        assert _g_table(cusp) is None
+        assert _group(cusp).table is None
 
     def test_scalar_mul_stays_the_only_public_multiplication(self, monkeypatch, mid16):
         # a cold table is built without the public scalar_mul, so each k * G
         # is one scalar_mul call, as the benchmark's scalar_mul counts assume
         assert [name for name in curve_module.__all__ if "mul" in name] == ["scalar_mul"]
-        _g_table.cache_clear()
+        _group.cache_clear()
         mults = _count_calls(monkeypatch, "scalar_mul")
         curve_module.scalar_mul(12345, mid16.g, mid16)
         assert len(mults) == 1
+
+
+class TestGroupProof:
+    @pytest.mark.parametrize("name", ["toy", "mid16", "secp256k1"])
+    def test_bundled_curves_are_proven(self, request, name):
+        e = request.getfixturevalue(name)
+        assert _group(e).prime_order
+        assert (_group(e).glv is not None) == (name == "secp256k1")
+
+    # bad_anomalous (#E = n = q = 17) and bad_embedding (toy17 itself) are
+    # refused by the domain checklist for cryptographic weaknesses, yet
+    # their groups really are cyclic of prime order n
+    @pytest.mark.parametrize("name", ["bad_anomalous", "bad_embedding"])
+    def test_weak_but_prime_order_fixtures_are_proven(self, name):
+        assert _group(load_bad_fixture(name)).prime_order
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "bad_base_point", "bad_composite_n", "bad_small_order",
+            "composite_q45", "hang_budget_q9", "hang_weak_key_q25",
+        ],
+    )
+    def test_proof_refused_for_hostile_fixtures(self, name):
+        assert not _group(load_bad_fixture(name)).prime_order
+
+    def test_proof_refused_for_cofactor_curves(self):
+        # n = 5 fails 2n > q + 1 + floor(2 sqrt q) whatever cofactor the curve
+        # declares, and SMALL_ORDER_G's n is composite; so (n + 1) * U for
+        # the order-10 U = (3, 4) is computed, not reduced to U
+        u = Point(3, 4)
+        for e in (HOST_20, dataclasses.replace(HOST_20, cofactor=1), SMALL_ORDER_G):
+            assert not _group(e).prime_order
+            assert scalar_mul(e.n + 1, u, e) == affine_scalar_mul(e.n + 1, u, e) != u
+
+    def test_glv_constants(self, secp256k1):
+        e = secp256k1
+        beta, lam, basis = _group(e).glv
+        assert beta != 1 and pow(beta, 3, e.q) == 1
+        assert (lam * lam + lam + 1) % e.n == 0
+        assert scalar_mul(lam, e.g, e) == Point(beta * e.g.x % e.q, e.g.y)
+        (a1, b1), (a2, b2) = basis
+        assert (a1 + b1 * lam) % e.n == 0 and (a2 + b2 * lam) % e.n == 0
+        assert a1 * b2 - a2 * b1 == e.n
+        assert max(abs(v) for v in (a1, b1, a2, b2)).bit_length() <= 129
+
+    def test_fast_path_equals_double_and_add_on_secp256k1(self, secp256k1):
+        e = secp256k1
+        n, lam = e.n, _group(e).glv[1]
+        rng = Random(8)
+        p = _double_and_add(rng.randrange(1, n), e.g, e)
+        scalars = [0, 1, lam, lam - 1, lam + 1, n - 1, n, n + 1, 2 * n, 3 * n - 1]
+        scalars += [rng.randrange(3 * n) for _ in range(100)]
+        signs = set()
+        for k in scalars:
+            expected = _double_and_add(k, p, e) if k else INFINITY
+            assert scalar_mul(k, p, e) == expected, k
+            k1, k2 = _glv_split(k % n, n, _group(e).glv[2])
+            assert (k1 + k2 * lam - k) % n == 0
+            assert max(abs(k1), abs(k2)).bit_length() <= 129, k
+            signs.add((k1 < 0, k2 < 0))
+        assert {k1_negative for k1_negative, _ in signs} == {False, True}
+        assert {k2_negative for _, k2_negative in signs} == {False, True}
+
+    def test_off_curve_point_is_neither_reduced_nor_split_on_secp256k1(self, secp256k1):
+        # a point of y^2 = x^3 + b' with b' != 7 is multiplied in that curve's
+        # group: k is not reduced mod n, so n * P is not O
+        e = secp256k1
+        rng = Random(9)
+        x, y = rng.randrange(e.q), rng.randrange(e.q)
+        p = Point(x, y)
+        assert (y * y - x * x * x) % e.q != e.b and not is_on_curve(p, e)
+        scalars = [1, 2, e.n, e.n + 1, 2 * e.n] + [rng.randrange(1, 3 * e.n) for _ in range(5)]
+        for k in scalars:
+            assert scalar_mul(k, p, e) == affine_scalar_mul(k, p, e), k
+        assert scalar_mul(e.n, p, e) != INFINITY
+        assert scalar_mul(e.n + 1, p, e) != p
 
 
 class TestSearchPrimeOrderCurve:

@@ -5,15 +5,18 @@ by an independent script and every intermediate frozen here: R = (9,16),
 K = (10,11), session key 0x0a, ciphertext 6e6e, bound hash 4, signature 2.
 """
 
+import dataclasses
 from random import Random
 
 import pytest
 
+from conftest import HOST_20
 from hlslab.curve import INFINITY, CurveParams, Point, find_invalid_curve_point, scalar_mul
 from hlslab.errors import (
     ForcedEphemeralError,
     InvalidEphemeralKeyError,
     KeyControlError,
+    PublicKeyInvalidError,
     ZeroHashError,
 )
 from hlslab.hls import (
@@ -206,9 +209,46 @@ class TestIdentitySharedPoint:
         assert sigma.ciphertext == stream_encrypt(b"\x00", b"m")
 
     def test_hardened_refuses(self, toy, alice):
+        # the off-curve W is refused as a recipient key before any r * W
         w = find_invalid_curve_point(toy, 3).point
-        with pytest.raises(KeyControlError):
+        with pytest.raises(PublicKeyInvalidError, match="curve equation"):
             signcrypt(b"m", alice.d, w, toy, Random(5), Mode.HARDENED)
+        # a key that passes that gate can still give O, here because a wrong
+        # composite n = 10 lets the order-5 G through and r = 5 is drawn
+        host = dataclasses.replace(HOST_20, n=10, cofactor=2)
+        with pytest.raises(KeyControlError):
+            signcrypt(b"m", 1, host.g, host, Random(5), Mode.HARDENED)
+
+
+class TestRecipientKeyValidation:
+    def test_companion_curve_key_refused_only_when_hardened(self, mid16):
+        # an order-5 point of a companion curve as the recipient's "key": the
+        # vulnerable signcrypt leaks r mod 5 through the shared point, the
+        # hardened one refuses the key before multiplying it
+        w = find_invalid_curve_point(mid16, 5).point
+        sigma = signcrypt(b"m", 2, w, mid16, Random(1), Mode.VULNERABLE)
+        assert len(sigma.ciphertext) == 1
+        with pytest.raises(PublicKeyInvalidError, match="curve equation"):
+            signcrypt(b"m", 2, w, mid16, Random(1), Mode.HARDENED)
+
+    @pytest.mark.parametrize(
+        "key,reason",
+        [
+            (INFINITY, "identity"),
+            (Point(20, 1), "range"),
+            (Point(0, 7), "curve equation"),
+            (Point(3, 4), "subgroup"),  # on the curve, outside the order-5 group
+        ],
+    )
+    def test_hardened_refusals_on_host_curve(self, key, reason):
+        # the cofactor-4 curve's group is not of prime order n, so n * U is
+        # really computed
+        with pytest.raises(PublicKeyInvalidError, match=reason):
+            signcrypt(b"m", 1, key, HOST_20, Random(0), Mode.HARDENED)
+
+    def test_valid_key_accepted(self, toy, alice, bob):
+        sigma = signcrypt(b"m", alice.d, bob.pub, toy, Random(3), Mode.HARDENED)
+        assert unsigncrypt(sigma, bob.d, alice.pub, toy, Mode.HARDENED) == b"m"
 
 
 class TestEphemeralValidation:
@@ -228,11 +268,9 @@ class TestEphemeralValidation:
             validate_ephemeral_point(Point(0, 7), toy)
 
     def test_wrong_subgroup_rejected(self):
-        # F_17 curve with 20 points; declared subgroup order 5, (3,4) has order 10
-        host = CurveParams(q=17, a=2, b=0, g=Point(8, 1), n=5, cofactor=4)
-        validate_ephemeral_point(Point(8, 1), host)
+        validate_ephemeral_point(Point(8, 1), HOST_20)
         with pytest.raises(InvalidEphemeralKeyError, match="subgroup"):
-            validate_ephemeral_point(Point(3, 4), host)
+            validate_ephemeral_point(Point(3, 4), HOST_20)
 
     def test_hardened_unsigncrypt_validates_first(self, toy, alice, bob):
         sigma = SigncryptedText(b"\x00\x00", Point(0, 7), 2)
