@@ -20,6 +20,15 @@ e; it never changes the result, because every path computes the same group
 element, and a point off e (a companion-curve point of the invalid-curve
 attack) is multiplied exactly as before, unreduced and unsplit.
 
+Point counts come from one private order function, behind count_points
+and the companion-curve scan of find_invalid_curve_point. For prime q and a
+nonsingular curve it pins #E by Shanks and Mestre's baby-step giant-step
+over the Hasse interval, in O(q^(1/4)) group operations, and it finds
+points by Euler's criterion and a modular square root, so nothing of size
+q is built. Composite q, singular curves and the rare curve whose first
+points leave the count open (small fields) fall back to the O(q) sum of
+quadratic characters.
+
 Points deliberately carry no curve reference and are never checked against
 any equation on construction, because off-curve points are first-class
 inputs in this lab.
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 from random import Random
 from typing import Optional
@@ -499,6 +509,7 @@ def _square_tables(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Built by marking y^2 for y = 1..q//2, so it needs no primality and no
     Tonelli-Shanks; for prime q, chi coincides with the Legendre symbol.
+    Only composite q and the character sum use them.
     """
     chi = [-1] * q
     chi[0] = 0
@@ -516,7 +527,6 @@ def _cubic_terms(q: int, a: int) -> tuple[int, ...]:
     return tuple((x * x * x + a * x) % q for x in range(q))
 
 
-@lru_cache(maxsize=64)
 def _character_sum(q: int, a: int, b: int) -> int:
     # q + 1 + sum of chi(x^3 + ax + b); unchecked, so for composite q it can
     # leave the Hasse interval. Rotating chi by b turns chi[(t + b) % q] into
@@ -526,27 +536,202 @@ def _character_sum(q: int, a: int, b: int) -> int:
     return q + 1 + sum(map(shifted.__getitem__, _cubic_terms(q, a)))
 
 
-def count_points(q: int, a: int, b: int) -> int:
-    """#E(F_q) for prime q by summing quadratic characters of x^3 + ax + b.
+@lru_cache(maxsize=4)
+def _prime_field(q: int) -> bool:
+    return is_probable_prime(q)
 
-    Counts affine solutions plus the point at infinity. For singular (q,a,b)
-    the sum still counts the cubic's solutions, it just is not a group order.
+
+@lru_cache(maxsize=4)
+def _two_adic(q: int) -> tuple[int, int, int]:
+    # q - 1 == odd * 2^e, and z^odd for the least non-square z mod q, which
+    # has order 2^e
+    odd, e = q - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        e += 1
+    z = 2
+    while pow(z, (q - 1) // 2, q) == 1:
+        z += 1
+    return odd, e, pow(z, odd, q)
+
+
+def _sqrt_prime(t: int, q: int) -> Optional[int]:
+    """The root of t in [0, q//2] modulo an odd prime q, or None when t is not a square.
+
+    q == 3 mod 4 takes t^((q+1)/4) and q == 5 mod 8 Atkin's formula; each is
+    a root exactly when t is a square. q == 1 mod 8 takes Tonelli-Shanks
+    (Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    1.5.1), whose first search for the order of t^odd is Euler's criterion.
+    Each raises t to one power of about q; a non-square costs no more.
     """
-    if q > ENUMERATION_LIMIT:
-        raise ResourceLimitError(f"field size {q} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    n_points = _character_sum(q, a, b)
-    if not is_singular(q, a, b):
-        assert (q + 1 - n_points) ** 2 <= 4 * q, "point count outside Hasse interval"
-    return n_points
+    if t == 0:
+        return 0
+    if q % 4 == 3:
+        r = pow(t, (q + 1) // 4, q)
+    elif q % 8 == 5:
+        v = pow(2 * t, (q - 5) // 8, q)
+        r = t * v * (2 * t * v * v - 1) % q
+    else:
+        odd, e, c = _two_adic(q)
+        w = pow(t, (odd - 1) // 2, q)
+        # r^2 == t * u throughout, and u has order 2^i for some i < e
+        r, u = w * t % q, w * w * t % q
+        while u != 1:
+            i, u2 = 1, u * u % q
+            while u2 != 1:
+                u2 = u2 * u2 % q
+                i += 1
+            if i == e:
+                # t^((q-1)/2) == -1
+                return None
+            b = pow(c, 1 << (e - i - 1), q)
+            r, c, e = r * b % q, b * b % q, i
+            u = u * c % q
+    if r * r % q != t:
+        return None
+    return min(r, q - r)
+
+
+def _square_root(t: int, q: int) -> Optional[int]:
+    """The root of t mod q that _square_tables(q) stores, or None when t is not a square.
+
+    For prime q that is the one root in [0, q//2], found without the tables.
+    """
+    if _prime_field(q):
+        return _sqrt_prime(t, q)
+    chi, root = _square_tables(q)
+    return root[t] if chi[t] >= 0 else None
 
 
 def _affine_points(q: int, a: int, b: int):
-    """One affine point (x, y) of y^2 = x^3 + ax + b per x that has one, by ascending x."""
-    chi, root = _square_tables(q)
-    for x, t in enumerate(_cubic_terms(q, a)):
-        rhs = (t + b) % q
-        if chi[rhs] >= 0:
-            yield Point(x, root[rhs])
+    """One affine point (x, y) of y^2 = x^3 + ax + b per x that has one, by ascending x.
+
+    y is the root _square_root gives, the same for prime and composite q.
+    """
+    for x in range(q):
+        y = _square_root((x * x * x + a * x + b) % q, q)
+        if y is not None:
+            yield Point(x, y)
+
+
+# The order count works on bare affine (x, y) pairs, None for O, over a
+# prime q: these points all lie on one curve, so a shared x means y or -y.
+_Pair = Optional[tuple[int, int]]
+
+
+def _pair_add(p: _Pair, r: _Pair, q: int, a: int) -> _Pair:
+    if p is None:
+        return r
+    if r is None:
+        return p
+    (x1, y1), (x2, y2) = p, r
+    if x1 == x2:
+        if (y1 + y2) % q == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, q) % q
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
+    x3 = (lam * lam - x1 - x2) % q
+    return x3, (lam * (x1 - x3) - y1) % q
+
+
+def _pair_mul(k: int, p: _Pair, q: int, a: int) -> _Pair:
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = _pair_add(acc, acc, q, a)
+        if bit == "1":
+            acc = _pair_add(acc, p, q, a)
+    return acc
+
+
+def _pinned_order(p: _Pair, q: int, a: int) -> Optional[int]:
+    """The one m in the Hasse interval with m * p == O, or None when p leaves several.
+
+    The interval is [lo, hi] = q + 1 -+ floor(2 sqrt q). Baby steps store
+    r * p by x for r = 1..s. Each m in the interval is c + t for one centre
+    c = lo + s + i(2s + 1) and one t in [-s, s], and m * p == O exactly when
+    the giant step c * p is -t * p: O for t == 0, else a baby step's x, with
+    the sign of t read from y. That t is unique, and so is each m found,
+    only when p's order exceeds 2s; a smaller order shows in the baby
+    steps as O, a y of 0 or a repeated x, and p is then passed over.
+    """
+    bound = isqrt(4 * q)
+    lo, hi = q + 1 - bound, q + 1 + bound
+    s = isqrt(bound) + 1
+    baby: dict[int, tuple[int, int]] = {}
+    pt = None
+    for r in range(1, s + 1):
+        pt = _pair_add(pt, p, q, a)
+        if pt is None or pt[1] == 0 or pt[0] in baby:
+            return None
+        baby[pt[0]] = (r, pt[1])
+    step = _pair_add(_pair_add(pt, pt, q, a), p, q, a)
+    giant = _pair_mul(lo + s, p, q, a)
+    found = None
+    for centre in range(lo + s, hi + s + 1, 2 * s + 1):
+        if giant is None:
+            t = 0
+        elif giant[0] in baby:
+            r, y = baby[giant[0]]
+            t = -r if giant[1] == y else r
+        else:
+            t = None
+        if t is not None and lo <= centre + t <= hi:
+            if found is not None:
+                return None
+            found = centre + t
+        giant = _pair_add(giant, step, q, a)
+    return found
+
+
+# Points of a curve tried, by ascending x, before its order is counted by
+# the character sum instead
+_PIN_POINTS = 8
+
+
+@lru_cache(maxsize=64)
+def _group_order(q: int, a: int, b: int) -> int:
+    """The number of points of y^2 = x^3 + ax + b over F_q, O included.
+
+    For prime q and a nonsingular curve, by Shanks and Mestre's baby-step
+    giant-step (Washington, Elliptic Curves, 2nd ed., section 4.3; Cohen,
+    A Course in Computational Algebraic Number Theory, section 7.4): #E
+    lies in the Hasse interval and #E * P == O for every P, so when exactly
+    one m in the interval has m * P == O for a point P, #E == m. The first
+    _PIN_POINTS affine points by ascending x are tried, each with about
+    3 q^(1/4) additions and one multiplication by about q. When none pins
+    #E (the group's exponent leaves several multiples in the interval, as
+    on tiny fields), and for composite q or a singular curve, q + 1 plus
+    the sum of the quadratic characters of x^3 + ax + b counts it, in O(q).
+    """
+    if _prime_field(q) and not is_singular(q, a, b):
+        for p in islice(_affine_points(q, a, b), _PIN_POINTS):
+            m = _pinned_order((p.x, p.y), q, a)
+            if m is not None:
+                return m
+    return _character_sum(q, a, b)
+
+
+def count_points(q: int, a: int, b: int) -> int:
+    """#E(F_q), affine solutions of y^2 = x^3 + ax + b plus the point at infinity.
+
+    For prime q and a nonsingular curve the count is pinned by baby-step
+    giant-step over the Hasse interval; otherwise, and on the rare curve
+    whose points cannot pin it, quadratic characters are summed over every
+    x. For singular (q,a,b) the sum still counts the cubic's solutions, it
+    just is not a group order.
+
+    Raises:
+        HlsLabError: a nonsingular count lies outside the Hasse interval,
+            which only a composite q can cause.
+        ResourceLimitError: q exceeds ENUMERATION_LIMIT.
+    """
+    if q > ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"field size {q} exceeds enumeration limit {ENUMERATION_LIMIT}")
+    n_points = _group_order(q, a, b)
+    if not is_singular(q, a, b) and (q + 1 - n_points) ** 2 > 4 * q:
+        raise HlsLabError("point count outside Hasse interval")
+    return n_points
 
 
 @dataclass(frozen=True)
@@ -592,8 +777,8 @@ class _CompanionScan:
             if b_prime == e.b or is_singular(e.q, e.a, b_prime):
                 continue
             # not count_points: on a composite q, which a curve file can carry past a
-            # skipped parameter gate, its Hasse assertion would end the scan in a traceback
-            self.counted.append((b_prime, _character_sum(e.q, e.a, b_prime)))
+            # skipped parameter gate, its Hasse check would end the scan
+            self.counted.append((b_prime, _group_order(e.q, e.a, b_prime)))
             return True
         return False
 
@@ -637,19 +822,17 @@ class _CompanionScan:
     def _probe(self, b_prime: int, k: int) -> bool:
         """False when _PROBES seeded uniform points P of the b' curve all give k * P == O."""
         e = self.e
-        chi, root = _square_tables(e.q)
-        terms = _cubic_terms(e.q, e.a)
         rng = Random(f"{e.q}:{e.a}:{b_prime}:{k}")
         probes = 0
         for _ in range(_PROBE_DRAWS):
             x = rng.randrange(e.q)
-            rhs = (terms[x] + b_prime) % e.q
+            y = _square_root((x * x * x + e.a * x + b_prime) % e.q, e.q)
             # an x with two points is kept on every draw and one with a single
             # point (y = 0) on half of them, so every affine point is equally
             # likely; P and -P give O together, so which root is taken is moot
-            if chi[rhs] < 0 or (chi[rhs] == 0 and rng.getrandbits(1)):
+            if y is None or (y == 0 and rng.getrandbits(1)):
                 continue
-            if not scalar_mul(k, Point(x, root[rhs]), e).is_infinity:
+            if not scalar_mul(k, Point(x, y), e).is_infinity:
                 return True
             probes += 1
             if probes == _PROBES:
@@ -667,10 +850,11 @@ def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
     """Deterministic search for a point of exact prime order g on some b' curve.
 
     Scans b' = 1, 2, ... (skipping b' == e.b and singular coefficient pairs)
-    and counts each companion curve's points N' once per curve: the scan
-    stops at the first b' that serves g, a later call resumes it there, and
-    a prime asked for later is first answered from the N' already counted.
-    The four curves used last keep their scans.
+    and counts each companion curve's points N' once per curve, as
+    count_points does (baby-step giant-step over the Hasse interval for
+    prime q): the scan stops at the first b' that serves g, a later call
+    resumes it there, and a prime asked for later is first answered from
+    the N' already counted. The four curves used last keep their scans.
 
     When g | N', the curve's points are multiplied, by ascending x, by N'/g
     until one gives a point other than O, which has order g. Such a point

@@ -451,6 +451,22 @@ def test_hostile_curve_file_ends_in_one_line(curve_file, scenario, code, optimiz
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
+def test_point_count_outside_hasse_interval_fails_under_every_flag(optimize):
+    # over F_9, y^2 = x^3 + 2x + 1 has 19 points, outside the Hasse interval
+    # [4, 16]; a fresh interpreter, so that -O applies to hlslab itself
+    src = str(Path(hlslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, *(["-O"] if optimize else []), "-m", "hlslab.cli", "validate"]
+    argv += ["params", "--curve", str(DATA_DIR / "hasse_q9.json")]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2
+    assert (
+        "  [FAIL] supersingular: computation failed: point count outside Hasse interval"
+        in proc.stdout.splitlines()
+    )
+
+
 class TestUsageErrors:
     def test_missing_required_flag(self, run):
         assert run("signcrypt")[0] == 3

@@ -12,10 +12,14 @@ import pytest
 from conftest import HOST_20, load_bad_fixture, outcome
 import hlslab.curve as curve_module
 from hlslab.curve import (
+    _character_sum,
     _double_and_add,
     _glv_split,
     _group,
+    _group_order,
     _jacobian_add_affine,
+    _square_root,
+    _square_tables,
     ENUMERATION_LIMIT,
     INFINITY,
     CurveParams,
@@ -143,7 +147,7 @@ class TestGroupLaw:
                 r = Point(*TOY_MULTIPLES[j])
                 assert point_add(p, r, toy) == point_add(p, r, other_b)
 
-    def test_scalar_mul_not_reduced(self, toy):
+    def test_scalar_mul_k_beyond_n_wraps_around(self, toy):
         assert scalar_mul(20, toy.g, toy) == toy.g
         assert scalar_mul(38, toy.g, toy) == INFINITY
         assert scalar_mul(0, toy.g, toy) == INFINITY
@@ -157,7 +161,7 @@ class TestGroupLaw:
         rng = Random(11)
         p = affine_scalar_mul(rng.randrange(1, e.n), e.g, e)
         scalars = [rng.randrange(1, e.n) for _ in range(4)]
-        scalars += [e.n - 1, e.n + 5, 3 * e.n + rng.randrange(e.n)]  # k >= n: not reduced
+        scalars += [e.n - 1, e.n + 5, 3 * e.n + rng.randrange(e.n)]  # k >= n: as unreduced
         for k in scalars:
             assert scalar_mul(k, e.g, e) == affine_scalar_mul(k, e.g, e), k
             assert scalar_mul(k, p, e) == affine_scalar_mul(k, p, e), k
@@ -254,6 +258,38 @@ class TestCountPoints:
             count_points((1 << 21) + 1, 2, 2)
 
 
+# q == 1 mod 8 (twice: 2^8 and 2^4 exactly divide q - 1), 3 mod 4 and 5 mod 8,
+# so that every square-root branch runs
+SQRT_PRIMES = [257, 263, 269, 337]
+
+
+class TestGroupOrder:
+    @pytest.mark.parametrize("q", SQRT_PRIMES)
+    def test_equals_character_sum(self, q):
+        for a in (0, 3):
+            for b in range(q):
+                if not is_singular(q, a, b):
+                    assert _group_order(q, a, b) == _character_sum(q, a, b), (q, a, b)
+
+    def test_falls_back_on_toy17(self, monkeypatch, toy):
+        # every point of these six companion curves has order 11 or 12, of
+        # which the Hasse interval [10, 26] holds two multiples each
+        sums = _count_calls(monkeypatch, "_character_sum")
+        orders = {
+            b: _group_order.__wrapped__(toy.q, toy.a, b)
+            for b in range(1, toy.q)
+            if b != toy.b and not is_singular(toy.q, toy.a, b)
+        }
+        assert [b for _, _, b in sums] == [1, 6, 7, 10, 11, 16]
+        assert orders == {b: _character_sum(toy.q, toy.a, b) for b in orders}
+
+    @pytest.mark.parametrize("q", SQRT_PRIMES)
+    def test_square_root_equals_tables(self, q):
+        chi, root = _square_tables(q)
+        for t in range(q):
+            assert _square_root(t, q) == (root[t] if chi[t] >= 0 else None), (q, t)
+
+
 class TestFindInvalidCurvePoint:
     def test_order_three_on_toy(self, toy):
         icp = find_invalid_curve_point(toy, 3)
@@ -346,9 +382,17 @@ class TestCompanionScan:
     def test_cold_budget_counts_each_companion_curve_once(self, monkeypatch, mid16):
         # the per-prime restart computed 26 character sums for these 8 curves
         curve_module._companion_scan.cache_clear()
-        sums = _count_calls(monkeypatch, "_character_sum")
+        sums = _count_calls(monkeypatch, "_group_order")
         default_g_budget(mid16)
         assert sorted(sums) == [(mid16.q, mid16.a, b) for b in range(1, 9)]
+
+    def test_cold_budget_builds_no_table_over_the_field(self, monkeypatch):
+        curve_module._companion_scan.cache_clear()
+        curve_module._group_order.cache_clear()
+        names = ("_character_sum", "_square_tables", "_cubic_terms")
+        calls = {name: _count_calls(monkeypatch, name) for name in names}
+        assert default_g_budget(POOL_60427) == [g for g, *_ in PINNED_COMPANIONS["pool_60427"]]
+        assert calls == {name: [] for name in names}
 
     def test_non_cyclic_part_is_probed_not_walked(self, monkeypatch):
         # walking every point of the Z/3 x Z/3 curve took 21,037 multiplications
