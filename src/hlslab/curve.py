@@ -538,7 +538,8 @@ def _character_sum(q: int, a: int, b: int) -> int:
 
 @lru_cache(maxsize=4)
 def _prime_field(q: int) -> bool:
-    return is_probable_prime(q)
+    # q == 2 stays on the tables: Tonelli-Shanks needs a non-square, and F_2 has none
+    return q > 2 and is_probable_prime(q)
 
 
 @lru_cache(maxsize=4)
@@ -558,37 +559,28 @@ def _two_adic(q: int) -> tuple[int, int, int]:
 def _sqrt_prime(t: int, q: int) -> Optional[int]:
     """The root of t in [0, q//2] modulo an odd prime q, or None when t is not a square.
 
-    q == 3 mod 4 takes t^((q+1)/4) and q == 5 mod 8 Atkin's formula; each is
-    a root exactly when t is a square. q == 1 mod 8 takes Tonelli-Shanks
-    (Cohen, A Course in Computational Algebraic Number Theory, Algorithm
-    1.5.1), whose first search for the order of t^odd is Euler's criterion.
-    Each raises t to one power of about q; a non-square costs no more.
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 1.5.1), whose first search for the order of t^odd is
+    Euler's criterion. It raises t to one power of about q; for q == 3 mod 4
+    the loop ends at once, and a non-square costs no more than a square.
     """
     if t == 0:
         return 0
-    if q % 4 == 3:
-        r = pow(t, (q + 1) // 4, q)
-    elif q % 8 == 5:
-        v = pow(2 * t, (q - 5) // 8, q)
-        r = t * v * (2 * t * v * v - 1) % q
-    else:
-        odd, e, c = _two_adic(q)
-        w = pow(t, (odd - 1) // 2, q)
-        # r^2 == t * u throughout, and u has order 2^i for some i < e
-        r, u = w * t % q, w * w * t % q
-        while u != 1:
-            i, u2 = 1, u * u % q
-            while u2 != 1:
-                u2 = u2 * u2 % q
-                i += 1
-            if i == e:
-                # t^((q-1)/2) == -1
-                return None
-            b = pow(c, 1 << (e - i - 1), q)
-            r, c, e = r * b % q, b * b % q, i
-            u = u * c % q
-    if r * r % q != t:
-        return None
+    odd, e, c = _two_adic(q)
+    w = pow(t, (odd - 1) // 2, q)
+    # r^2 == t * u throughout, and u has order 2^i for some i < e
+    r, u = w * t % q, w * w * t % q
+    while u != 1:
+        i, u2 = 1, u * u % q
+        while u2 != 1:
+            u2 = u2 * u2 % q
+            i += 1
+        if i == e:
+            # t^((q-1)/2) == -1
+            return None
+        b = pow(c, 1 << (e - i - 1), q)
+        r, c, e = r * b % q, b * b % q, i
+        u = u * c % q
     return min(r, q - r)
 
 
@@ -614,73 +606,45 @@ def _affine_points(q: int, a: int, b: int):
             yield Point(x, y)
 
 
-# The order count works on bare affine (x, y) pairs, None for O, over a
-# prime q: these points all lie on one curve, so a shared x means y or -y.
-_Pair = Optional[tuple[int, int]]
-
-
-def _pair_add(p: _Pair, r: _Pair, q: int, a: int) -> _Pair:
-    if p is None:
-        return r
-    if r is None:
-        return p
-    (x1, y1), (x2, y2) = p, r
-    if x1 == x2:
-        if (y1 + y2) % q == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, q) % q
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, q) % q
-    x3 = (lam * lam - x1 - x2) % q
-    return x3, (lam * (x1 - x3) - y1) % q
-
-
-def _pair_mul(k: int, p: _Pair, q: int, a: int) -> _Pair:
-    acc = None
-    for bit in bin(k)[2:]:
-        acc = _pair_add(acc, acc, q, a)
-        if bit == "1":
-            acc = _pair_add(acc, p, q, a)
-    return acc
-
-
-def _pinned_order(p: _Pair, q: int, a: int) -> Optional[int]:
+def _pinned_order(p: Point, e: CurveParams) -> Optional[int]:
     """The one m in the Hasse interval with m * p == O, or None when p leaves several.
 
-    The interval is [lo, hi] = q + 1 -+ floor(2 sqrt q). Baby steps store
-    r * p by x for r = 1..s. Each m in the interval is c + t for one centre
-    c = lo + s + i(2s + 1) and one t in [-s, s], and m * p == O exactly when
-    the giant step c * p is -t * p: O for t == 0, else a baby step's x, with
-    the sign of t read from y. That t is unique, and so is each m found,
-    only when p's order exceeds 2s; a smaller order shows in the baby
-    steps as O, a y of 0 or a repeated x, and p is then passed over.
+    p is an affine point of e over a prime field. The interval is [lo, hi]
+    = q + 1 -+ floor(2 sqrt q). Baby steps store r * p by x for r = 1..s.
+    Each m in the interval is c + t for one centre c = lo + s + i(2s + 1)
+    and one t in [-s, s], and m * p == O exactly when the giant step c * p
+    is -t * p: O for t == 0, else a baby step's x, with the sign of t read
+    from y. That t is unique, and so is each m found, only when p's order
+    exceeds 2s; a smaller order shows in the baby steps as O, a y of 0 or a
+    repeated x, and p is then passed over.
     """
+    q = e.q
     bound = isqrt(4 * q)
     lo, hi = q + 1 - bound, q + 1 + bound
     s = isqrt(bound) + 1
     baby: dict[int, tuple[int, int]] = {}
-    pt = None
+    pt = INFINITY
     for r in range(1, s + 1):
-        pt = _pair_add(pt, p, q, a)
-        if pt is None or pt[1] == 0 or pt[0] in baby:
+        pt = point_add(pt, p, e)
+        if pt.is_infinity or pt.y == 0 or pt.x in baby:
             return None
-        baby[pt[0]] = (r, pt[1])
-    step = _pair_add(_pair_add(pt, pt, q, a), p, q, a)
-    giant = _pair_mul(lo + s, p, q, a)
+        baby[pt.x] = (r, pt.y)
+    step = point_add(point_add(pt, pt, e), p, e)
+    giant = _double_and_add(lo + s, p, e)
     found = None
     for centre in range(lo + s, hi + s + 1, 2 * s + 1):
-        if giant is None:
+        if giant.is_infinity:
             t = 0
-        elif giant[0] in baby:
-            r, y = baby[giant[0]]
-            t = -r if giant[1] == y else r
+        elif giant.x in baby:
+            r, y = baby[giant.x]
+            t = -r if giant.y == y else r
         else:
             t = None
         if t is not None and lo <= centre + t <= hi:
             if found is not None:
                 return None
             found = centre + t
-        giant = _pair_add(giant, step, q, a)
+        giant = point_add(giant, step, e)
     return found
 
 
@@ -705,8 +669,9 @@ def _group_order(q: int, a: int, b: int) -> int:
     the sum of the quadratic characters of x^3 + ax + b counts it, in O(q).
     """
     if _prime_field(q) and not is_singular(q, a, b):
+        e = CurveParams(q, a % q, b % q, INFINITY, 1)
         for p in islice(_affine_points(q, a, b), _PIN_POINTS):
-            m = _pinned_order((p.x, p.y), q, a)
+            m = _pinned_order(p, e)
             if m is not None:
                 return m
     return _character_sum(q, a, b)

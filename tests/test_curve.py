@@ -257,9 +257,14 @@ class TestCountPoints:
         with pytest.raises(ResourceLimitError):
             count_points((1 << 21) + 1, 2, 2)
 
+    def test_q_two_sums_characters(self):
+        # F_2 has no non-square for Tonelli-Shanks, so its count stays the
+        # character sum, which counts y^2 == 1 twice over x == 0
+        assert count_points(2, 0, 1) == 4
 
-# q == 1 mod 8 (twice: 2^8 and 2^4 exactly divide q - 1), 3 mod 4 and 5 mod 8,
-# so that every square-root branch runs
+
+# 2^8, 2^1, 2^2 and 2^4 exactly divide q - 1, so that Tonelli-Shanks runs
+# with no, one and several steps of its loop
 SQRT_PRIMES = [257, 263, 269, 337]
 
 
