@@ -287,11 +287,8 @@ def invalid_curve_attack(
             key_j = derive_key(candidate, e, Mode.VULNERABLE)
             if mac(key_j, confirm_message) == tag:
                 matched_j = j
-                # the mirrored candidate shares the x-coordinate, hence the key:
-                # the oracle pinned d_B only up to sign mod g
-                if j:
-                    mirrored = scalar_mul(g - j, w, e)
-                    assert derive_key(mirrored, e, Mode.VULNERABLE) == key_j
+                # (g - j) * W shares j * W's x-coordinate, hence its key: the
+                # oracle pins d_B only up to sign mod g
                 break
             candidate = point_add(candidate, w, e)
         mac_trials += round_trials

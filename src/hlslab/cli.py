@@ -343,10 +343,7 @@ def cmd_demo_all(args) -> int:
     for mode in (Mode.VULNERABLE, Mode.HARDENED):
         for name, runner in SCENARIOS.items():
             child_seed = f"{args.seed}:{mode.value}:{name}"
-            effective = mode
-            if mode is Mode.HARDENED and args.weaken_hardened:
-                effective = Mode.VULNERABLE
-            report = runner(e, effective, Random(child_seed))
+            report = runner(e, mode, Random(child_seed))
             expected = mode is Mode.VULNERABLE
             ok = report.success == expected
             all_as_expected = all_as_expected and ok
@@ -527,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         "demo-all", help="run every scenario in both modes and check expectations"
     )
     _add_gated_curve_opts(p), _add_seed_opt(p), _add_output_opt(p)
-    p.add_argument("--weaken-hardened", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_demo_all)
 
     p = sub.add_parser("find-curve", help="search for a prime-order curve")

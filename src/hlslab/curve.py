@@ -7,18 +7,18 @@ is load-bearing here: a point that satisfies y^2 = x^3 + ax + b' for some
 b' != b will be processed by these same formulas, silently moving the
 computation into the group of the wrong curve. Keep it that way.
 
-scalar_mul has three paths (see its docstring). Once per curve it works out
-what the parameters let it rely on. When q is prime, e is nonsingular and G
-lies on e, multiples of G come from a table of fixed-base windows. When
-besides n is prime, n * G == O and 2n > q + 1 + floor(2 sqrt q), Hasse's
-bound proves E(F_q) cyclic of order n, whatever cofactor the parameters
-declare; a point on such a curve has its k reduced mod n, and on a = 0
-curves with q == n == 1 mod 3 its multiple is split by the GLV
-endomorphism. Every other curve and point takes plain double-and-add with k
-as given. b only picks the path, by telling whether G and the point lie on
-e; it never changes the result, because every path computes the same group
-element, and a point off e (a companion-curve point of the invalid-curve
-attack) is multiplied exactly as before, unreduced and unsplit.
+scalar_mul has two paths (see its docstring), and one proof, made once per
+curve, picks between them. When q is prime, e is nonsingular, G != O lies on
+e, n is prime, n * G == O and 2n > q + 1 + floor(2 sqrt q), Hasse's bound
+proves E(F_q) cyclic of order n, whatever cofactor the parameters declare.
+A point on such a curve has its k reduced mod n; multiples of G come from a
+table of fixed-base windows, and on a = 0 curves with q == n == 1 mod 3
+other multiples are split by the GLV endomorphism. Every other curve and
+point takes plain double-and-add with k as given. b only picks the path, by
+telling whether G and the point lie on e; it never changes the result,
+because both paths compute the same group element, and a point off e (a
+companion-curve point of the invalid-curve attack) is multiplied exactly as
+before, unreduced and unsplit.
 
 Point counts come from one private order function, behind count_points
 and the companion-curve scan of find_invalid_curve_point. For prime q and a
@@ -273,57 +273,53 @@ _Glv = tuple[int, int, _Basis]
 
 @dataclass(frozen=True)
 class _Group:
-    """What scalar_mul may rely on for one curve, worked out once per curve.
+    """What scalar_mul may rely on for a curve proven cyclic of prime order n.
 
-    table: the fixed-base windows for G, or None.
-    prime_order: E(F_q) is proven cyclic of prime order n.
+    table: the fixed-base windows for G.
     glv: the GLV constants, or None.
     """
 
-    table: Optional[_Table] = None
-    prime_order: bool = False
+    table: _Table
     glv: Optional[_Glv] = None
 
 
 @lru_cache(maxsize=4)
-def _group(e: CurveParams) -> _Group:
-    """The table, the group-order proof and the GLV constants of e.
+def _group(e: CurveParams) -> Optional[_Group]:
+    """The table and GLV constants of e, or None unless E(F_q) is proven cyclic of order n.
 
-    The table needs q prime, e nonsingular and G != O on e: only then is
-    every addition chain for k * G the same group computation as
-    double-and-add, with the same result and no exception.
+    The proof: q is prime, e is nonsingular, G != O lies on e, n is prime,
+    double-and-add gives n * G == O, and 2n > q + 1 + floor(2 sqrt q). Then
+    G has order n, so n divides #E, and by Hasse #E <= q + 1 + 2 sqrt q < 2n,
+    so #E == n. It never reads e.cofactor, which a curve file can get wrong.
+    Only a proven curve gets a table, and on it every addition chain for
+    k * G is the same group computation as double-and-add.
 
-    The proof adds: n is prime, double-and-add gives n * G == O, and
-    2n > q + 1 + floor(2 sqrt q). Then G has order n, so n divides #E, and
-    by Hasse #E <= q + 1 + 2 sqrt q < 2n, so #E == n. It never reads
-    e.cofactor, which a curve file can get wrong.
-
-    The GLV constants exist when the order is proven, a == 0 and
-    q == n == 1 mod 3: then (x, y) -> (beta * x, y) is an automorphism of
-    E(F_q) of order 3, which on a cyclic group of prime order acts as
-    multiplication by a root lambda of lambda^2 + lambda + 1 mod n. Of the
-    two roots, the one with lambda * G == (beta * x_G, y_G) is kept.
+    The GLV constants exist when a == 0 and q == n == 1 mod 3: then
+    (x, y) -> (beta * x, y) is an automorphism of E(F_q) of order 3, which on
+    a cyclic group of prime order acts as multiplication by a root lambda of
+    lambda^2 + lambda + 1 mod n. Of the two roots, the one with
+    lambda * G == (beta * x_G, y_G) is kept.
     """
     g, q, n = e.g, e.q, e.n
     if g.is_infinity or not is_on_curve(g, e) or is_singular(q, e.a, e.b):
-        return _Group()
-    if not is_probable_prime(q):
-        return _Group()
-    table = _fixed_base_table(e)
-    proven = (
-        2 * n > q + 1 + isqrt(4 * q)
+        return None
+    if not (
+        is_probable_prime(q)
+        and 2 * n > q + 1 + isqrt(4 * q)
         and is_probable_prime(n)
         and _double_and_add(n, g, e).is_infinity
-    )
-    if not (proven and e.a == 0 and q % 3 == 1 and n % 3 == 1):
-        return _Group(table, proven)
+    ):
+        return None
+    table = _fixed_base_table(e)
+    if not (e.a == 0 and q % 3 == 1 and n % 3 == 1):
+        return _Group(table)
     beta = _cube_root_of_unity(q)
     phi_g = Point(beta * g.x % q, g.y)
     w = _cube_root_of_unity(n)
     for lam in (w, w * w % n):
         if _fixed_base_mul(lam, table, e) == phi_g:
-            return _Group(table, True, (beta, lam, _short_basis(n, lam)))
-    return _Group(table, True)
+            return _Group(table, (beta, lam, _short_basis(n, lam)))
+    return _Group(table)
 
 
 def _fixed_base_table(e: CurveParams) -> _Table:
@@ -333,6 +329,10 @@ def _fixed_base_table(e: CurveParams) -> _Table:
     Curve Cryptography, section 3.3.2). Built with 4 doublings from one
     row's base to the next, 14 mixed additions per row and two field
     inversions in all.
+
+    e's group is proven cyclic of odd prime order n, so no 16^i * G is O,
+    and an entry is O only when n <= 15 divides j. Then the table has one
+    row and k < n, so _fixed_base_mul never reads such an entry.
     """
     q = e.q
     rows = -(-e.n.bit_length() // _WINDOW)
@@ -344,11 +344,9 @@ def _fixed_base_table(e: CurveParams) -> _Table:
         bases.append(pt)
     entries = []
     for base in _batch_to_affine(bases, q):
-        # a base point of small order makes whole rows O
         pt = _JACOBIAN_INFINITY
         for _ in range(_DIGIT_MAX):
-            if base is not None:
-                pt = _jacobian_add_affine(pt, base, e)
+            pt = _jacobian_add_affine(pt, base, e)
             entries.append(pt)
     affine = _batch_to_affine(entries, q)
     return tuple(tuple(affine[i : i + _DIGIT_MAX]) for i in range(0, len(affine), _DIGIT_MAX))
@@ -423,13 +421,13 @@ def _glv_mul(k: int, p: Point, glv: _Glv, e: CurveParams) -> Point:
 
 
 def _fixed_base_mul(k: int, table: _Table, e: CurveParams) -> Point:
-    # one table entry per nonzero digit of k, summed by mixed addition
+    # one table entry per nonzero digit of k < n, summed by mixed addition
     acc = _JACOBIAN_INFINITY
     for row in table:
         if not k:
             break
         digit = k & _DIGIT_MAX
-        if digit and row[digit - 1] is not None:
+        if digit:
             acc = _jacobian_add_affine(acc, row[digit - 1], e)
         k >>= _WINDOW
     return _to_affine(acc, e.q)
@@ -446,15 +444,14 @@ def _double_and_add(k: int, p: Point, e: CurveParams) -> Point:
 
 
 def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
-    """k-fold sum of p, by one of three paths that give the same point.
+    """k-fold sum of p, by one of two paths that give the same point.
 
-    Every path works in Jacobian coordinates with mixed Jacobian+affine
+    Both paths work in Jacobian coordinates with mixed Jacobian+affine
     addition, so the only field inversion is the conversion back to affine
     at the end, and every formula reads only q and a, never b.
 
-    Which path runs depends on what is known about e, worked out once per
-    curve (the four curves used last keep it), and on whether p satisfies
-    e's equation:
+    Which path runs depends on one proof about e, made once per curve (the
+    four curves used last keep it), and on whether p satisfies e's equation:
 
     - p on e, and E(F_q) proven cyclic of prime order n: q is prime, e is
       nonsingular, G != O lies on e, n is prime, n * G == O and
@@ -465,36 +462,32 @@ def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
       k1 * p + k2 * phi(p) with phi(x, y) = (beta * x, y), beta^3 == 1,
       and |k1|, |k2| about sqrt(n) (Gallant, Lambert and Vanstone, CRYPTO
       2001), taken by one double-and-add over both points, with half the
-      doublings.
-    - p == G on e, q prime and e nonsingular, the order unproven (a
-      cofactor above 1, or a wrong n): k * G comes from the same table
-      while k fits it, with k used as-is.
-    - anything else, including every point off e: left-to-right
-      double-and-add with k used as-is, never reduced.
+      doublings. Every other point takes double-and-add with the reduced k.
+    - anything else, including every point off e and every point of a
+      curve whose order is unproven (a cofactor above 1, or a wrong n):
+      left-to-right double-and-add with k used as-is, never reduced.
 
     b is read only by the on-curve tests, which pick the path but never the
-    result: on a curve whose group is known, every path computes the same
-    group element, and off e the double-and-add runs as it always has. That
-    is what keeps the invalid-curve attack working: a point of a companion
-    curve y^2 = x^3 + ax + b' is multiplied in that curve's group, and its
-    k is not reduced mod n.
+    result: on a proven curve both paths compute the same group element,
+    and off e the double-and-add runs as it always has. That is what keeps
+    the invalid-curve attack working: a point of a companion curve
+    y^2 = x^3 + ax + b' is multiplied in that curve's group, and its k is
+    not reduced mod n.
     """
     if k < 0:
         raise ValueError(f"scalar must be nonnegative, got {k}")
     if k == 0 or p.is_infinity:
         return INFINITY
     if p == e.g:
-        # a table exists only for a G on e
+        # the proof tests that G lies on e
         group = _group(e)
-        if group.prime_order:
+        if group is not None:
             return _fixed_base_mul(k % e.n, group.table, e)
-        if group.table is not None and k.bit_length() <= _WINDOW * len(group.table):
-            return _fixed_base_mul(k, group.table, e)
     # for any other point, reducing k changes the work only when k >= n,
     # and splitting it needs a == 0; every other k skips both checks
     elif (k >= e.n or e.a == 0) and is_on_curve(p, e):
         group = _group(e)
-        if group.prime_order:
+        if group is not None:
             k %= e.n
             if k == 0:
                 return INFINITY
@@ -509,7 +502,7 @@ def _square_tables(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     Built by marking y^2 for y = 1..q//2, so it needs no primality and no
     Tonelli-Shanks; for prime q, chi coincides with the Legendre symbol.
-    Only composite q and the character sum use them.
+    Only q == 2, composite q and the character sum use them.
     """
     chi = [-1] * q
     chi[0] = 0
@@ -537,15 +530,15 @@ def _character_sum(q: int, a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def _prime_field(q: int) -> bool:
-    # q == 2 stays on the tables: Tonelli-Shanks needs a non-square, and F_2 has none
-    return q > 2 and is_probable_prime(q)
+def _prime_field(q: int) -> Optional[tuple[int, int, int]]:
+    """Tonelli-Shanks' constants (odd, e, c) for an odd prime q, else None.
 
-
-@lru_cache(maxsize=4)
-def _two_adic(q: int) -> tuple[int, int, int]:
-    # q - 1 == odd * 2^e, and z^odd for the least non-square z mod q, which
-    # has order 2^e
+    q - 1 == odd * 2^e, and c = z^odd for the least non-square z mod q,
+    which has order 2^e. q == 2 gets None, as a composite q does: the search
+    for a non-square needs one, and F_2 has none.
+    """
+    if q == 2 or not is_probable_prime(q):
+        return None
     odd, e = q - 1, 0
     while odd % 2 == 0:
         odd //= 2
@@ -556,17 +549,23 @@ def _two_adic(q: int) -> tuple[int, int, int]:
     return odd, e, pow(z, odd, q)
 
 
-def _sqrt_prime(t: int, q: int) -> Optional[int]:
-    """The root of t in [0, q//2] modulo an odd prime q, or None when t is not a square.
+def _square_root(t: int, q: int) -> Optional[int]:
+    """The root of t mod q that _square_tables(q) stores, or None when t is not a square.
 
-    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
-    Theory, Algorithm 1.5.1), whose first search for the order of t^odd is
-    Euler's criterion. It raises t to one power of about q; for q == 3 mod 4
-    the loop ends at once, and a non-square costs no more than a square.
+    For an odd prime q that is the one root in [0, q//2], found without the
+    tables by Tonelli-Shanks (Cohen, A Course in Computational Algebraic
+    Number Theory, Algorithm 1.5.1), whose first search for the order of
+    t^odd is Euler's criterion. It raises t to one power of about q; for
+    q == 3 mod 4 the loop ends at once, and a non-square costs no more than
+    a square.
     """
+    field = _prime_field(q)
+    if field is None:
+        chi, root = _square_tables(q)
+        return root[t] if chi[t] >= 0 else None
     if t == 0:
         return 0
-    odd, e, c = _two_adic(q)
+    odd, e, c = field
     w = pow(t, (odd - 1) // 2, q)
     # r^2 == t * u throughout, and u has order 2^i for some i < e
     r, u = w * t % q, w * w * t % q
@@ -582,17 +581,6 @@ def _sqrt_prime(t: int, q: int) -> Optional[int]:
         r, c, e = r * b % q, b * b % q, i
         u = u * c % q
     return min(r, q - r)
-
-
-def _square_root(t: int, q: int) -> Optional[int]:
-    """The root of t mod q that _square_tables(q) stores, or None when t is not a square.
-
-    For prime q that is the one root in [0, q//2], found without the tables.
-    """
-    if _prime_field(q):
-        return _sqrt_prime(t, q)
-    chi, root = _square_tables(q)
-    return root[t] if chi[t] >= 0 else None
 
 
 def _affine_points(q: int, a: int, b: int):
@@ -668,7 +656,7 @@ def _group_order(q: int, a: int, b: int) -> int:
     on tiny fields), and for composite q or a singular curve, q + 1 plus
     the sum of the quadratic characters of x^3 + ax + b counts it, in O(q).
     """
-    if _prime_field(q) and not is_singular(q, a, b):
+    if _prime_field(q) is not None and not is_singular(q, a, b):
         e = CurveParams(q, a % q, b % q, INFINITY, 1)
         for p in islice(_affine_points(q, a, b), _PIN_POINTS):
             m = _pinned_order(p, e)

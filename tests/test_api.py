@@ -39,3 +39,14 @@ def test_package_binds_no_function_or_class():
         n for n, v in vars(hlslab).items() if inspect.isfunction(v) or inspect.isclass(v)
     ]
     assert bound == []
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips asserts, so a check in the package must raise instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(hlslab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

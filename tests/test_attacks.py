@@ -21,7 +21,7 @@ from hlslab.attacks import (
     weak_key_audit,
     zero_r_probe,
 )
-from hlslab.curve import INFINITY, Point, scalar_mul
+from hlslab.curve import INFINITY, Point, find_invalid_curve_point, scalar_mul
 from hlslab.errors import (
     MismatchedLeakError,
     NotInvertibleError,
@@ -38,7 +38,8 @@ from hlslab.hls import (
     signcrypt,
 )
 from hlslab.pki import CAPolicy, CertificateAuthority
-from hlslab.scenarios import make_decryptor
+from hlslab.primitives import derive_key
+from hlslab.scenarios import default_g_budget, make_decryptor
 
 NOW = 1_700_000_000
 
@@ -254,6 +255,17 @@ class TestInvalidCurveAttack:
         assert report.success
         assert report.recovered["d_B"] == bob.d
         assert report.oracle_queries == len(budget)
+
+    @pytest.mark.parametrize("name,budget", [("toy", [3, 7]), ("mid16", None)])
+    def test_mirrored_candidate_derives_the_same_key(self, request, name, budget):
+        # j * W and (g - j) * W share an x-coordinate, so the oracle's tag
+        # pins d_B only up to sign mod g
+        e = request.getfixturevalue(name)
+        for g in budget or default_g_budget(e):
+            w = find_invalid_curve_point(e, g).point
+            for j in range(g + 1):
+                key = derive_key(scalar_mul(j, w, e), e, Mode.VULNERABLE)
+                assert key == derive_key(scalar_mul(g - j, w, e), e, Mode.VULNERABLE), (g, j)
 
 
 class TestUksAttack:

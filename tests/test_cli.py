@@ -14,9 +14,11 @@ import pytest
 
 import hlslab
 from conftest import DATA_DIR
+from hlslab import scenarios
 from hlslab.cli import main
 from hlslab.curve import curve_to_dict, scalar_mul
 from hlslab.hls import keypair_from_dict, signcrypted_from_dict
+from hlslab.primitives import Mode
 
 
 @pytest.fixture()
@@ -362,8 +364,13 @@ class TestDemoAll:
         assert code == 0
         assert "all expectations hold" in out
 
-    def test_weakened_hardening_detected(self, run):
-        code, out, _ = run("demo-all", "--seed", "1", "--weaken-hardened")
+    def test_weakened_hardening_detected(self, run, monkeypatch):
+        # a scenario that ignores the mode it is given succeeds in hardened mode
+        leak = scenarios.SCENARIOS["ephemeral-leak"]
+        monkeypatch.setitem(
+            scenarios.SCENARIOS, "ephemeral-leak", lambda e, _, rng: leak(e, Mode.VULNERABLE, rng)
+        )
+        code, out, _ = run("demo-all", "--seed", "1")
         assert code == 1
         assert "EXPECTATION VIOLATED" in out
 

@@ -407,8 +407,7 @@ class TestCompanionScan:
         assert len(mults) < 200
 
 
-# HOST_20's G has order 5, so with a declared n of 2^12 - 1 the table has
-# 3 rows, each G, 2G, ..., with O at j = 5, 10, 15
+# HOST_20's G has order 5, and a declared n of 2^12 - 1 is composite
 SMALL_ORDER_G = dataclasses.replace(HOST_20, n=(1 << 12) - 1)
 
 
@@ -429,19 +428,25 @@ class TestFixedBaseTable:
             for j, entry in enumerate(row, start=1):
                 assert entry == affine_scalar_mul(j * 16**i, toy.g, toy), (i, j)
 
-    def test_small_order_base_point_leaves_o_entries(self):
-        rows = _group(SMALL_ORDER_G).table
-        assert len(rows) == 3
-        for row in rows:
-            assert [entry is None for entry in row] == [j % 5 == 0 for j in range(1, 16)]
+    def test_small_order_base_point_takes_double_and_add(self):
+        assert _group(SMALL_ORDER_G) is None
         for k in range(2**12 + 3):
             expected = affine_scalar_mul(k, SMALL_ORDER_G.g, SMALL_ORDER_G)
             assert scalar_mul(k, SMALL_ORDER_G.g, SMALL_ORDER_G) == expected, k
 
-    def test_cofactor_four_host_takes_the_table(self):
-        assert _group(HOST_20).table is not None
-        for k in range(1, 40):
-            assert scalar_mul(k, HOST_20.g, HOST_20) == _double_and_add(k, HOST_20.g, HOST_20)
+    def test_cofactor_four_host_takes_double_and_add(self):
+        assert _group(HOST_20) is None
+        for k in range(2**12 + 3):
+            assert scalar_mul(k, HOST_20.g, HOST_20) == affine_scalar_mul(k, HOST_20.g, HOST_20), k
+
+    def test_only_a_proven_curve_builds_a_table(self, monkeypatch, mid16):
+        _group.cache_clear()
+        tables = _count_calls(monkeypatch, "_fixed_base_table")
+        for e in (HOST_20, SMALL_ORDER_G, load_bad_fixture("bad_composite_n")):
+            assert _group(e) is None
+        assert tables == []
+        assert _group(mid16) is not None
+        assert tables == [(mid16,)]
 
     # b = 43 puts composite_q45's G on a nonsingular curve, so only q's
     # primality keeps that one off the table
@@ -455,7 +460,7 @@ class TestFixedBaseTable:
         if b is not None:
             e = dataclasses.replace(e, b=b)
             assert is_on_curve(e.g, e) and not is_singular(e.q, e.a, e.b)
-        assert _group(e).table is None
+        assert _group(e) is None
         outcomes = [outcome(k, e.g, e, scalar_mul) for k in range(1, 300)]
         assert outcomes == [outcome(k, e.g, e, _double_and_add) for k in range(1, 300)]
         assert any(isinstance(o, tuple) for o in outcomes) == (name == "composite_q45")
@@ -464,7 +469,7 @@ class TestFixedBaseTable:
         # y^2 = x^3 over F_17 is singular; (1, 1) lies on it
         cusp = CurveParams(q=17, a=0, b=0, g=Point(1, 1), n=17)
         assert is_on_curve(cusp.g, cusp)
-        assert _group(cusp).table is None
+        assert _group(cusp) is None
 
     def test_scalar_mul_stays_the_only_public_multiplication(self, monkeypatch, mid16):
         # a cold table is built without the public scalar_mul, so each k * G
@@ -480,7 +485,7 @@ class TestGroupProof:
     @pytest.mark.parametrize("name", ["toy", "mid16", "secp256k1"])
     def test_bundled_curves_are_proven(self, request, name):
         e = request.getfixturevalue(name)
-        assert _group(e).prime_order
+        assert _group(e) is not None
         assert (_group(e).glv is not None) == (name == "secp256k1")
 
     # bad_anomalous (#E = n = q = 17) and bad_embedding (toy17 itself) are
@@ -488,7 +493,7 @@ class TestGroupProof:
     # their groups really are cyclic of prime order n
     @pytest.mark.parametrize("name", ["bad_anomalous", "bad_embedding"])
     def test_weak_but_prime_order_fixtures_are_proven(self, name):
-        assert _group(load_bad_fixture(name)).prime_order
+        assert _group(load_bad_fixture(name)) is not None
 
     @pytest.mark.parametrize(
         "name",
@@ -498,7 +503,7 @@ class TestGroupProof:
         ],
     )
     def test_proof_refused_for_hostile_fixtures(self, name):
-        assert not _group(load_bad_fixture(name)).prime_order
+        assert _group(load_bad_fixture(name)) is None
 
     def test_proof_refused_for_cofactor_curves(self):
         # n = 5 fails 2n > q + 1 + floor(2 sqrt q) whatever cofactor the curve
@@ -506,7 +511,7 @@ class TestGroupProof:
         # the order-10 U = (3, 4) is computed, not reduced to U
         u = Point(3, 4)
         for e in (HOST_20, dataclasses.replace(HOST_20, cofactor=1), SMALL_ORDER_G):
-            assert not _group(e).prime_order
+            assert _group(e) is None
             assert scalar_mul(e.n + 1, u, e) == affine_scalar_mul(e.n + 1, u, e) != u
 
     def test_glv_constants(self, secp256k1):
