@@ -21,13 +21,14 @@ companion-curve point of the invalid-curve attack) is multiplied exactly as
 before, unreduced and unsplit.
 
 Point counts come from one private order function, behind count_points
-and the companion-curve scan of find_invalid_curve_point. For prime q and a
-nonsingular curve it pins #E by Shanks and Mestre's baby-step giant-step
-over the Hasse interval, in O(q^(1/4)) group operations, and it finds
-points by Euler's criterion and a modular square root, so nothing of size
-q is built. Composite q, singular curves and the rare curve whose first
-points leave the count open (small fields) fall back to the O(q) sum of
-quadratic characters.
+and the companion-curve scan of find_invalid_curve_point; both refuse a
+field size that is not an odd prime before anything is counted. On a
+nonsingular curve the order function pins #E by Shanks and Mestre's
+baby-step giant-step over the Hasse interval, in O(q^(1/4)) group
+operations, and it finds points by Euler's criterion and a modular square
+root, so nothing of size q is built. A singular curve's count has a closed
+form, and only the rare curve whose first points leave the count open
+(tiny fields) is counted point by point, in O(q).
 
 Points deliberately carry no curve reference and are never checked against
 any equation on construction, because off-curve points are first-class
@@ -497,48 +498,17 @@ def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
 
 
 @lru_cache(maxsize=4)
-def _square_tables(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """chi[t] in {-1,0,+1} marking squares mod q, and one square root per residue.
-
-    Built by marking y^2 for y = 1..q//2, so it needs no primality and no
-    Tonelli-Shanks; for prime q, chi coincides with the Legendre symbol.
-    Only q == 2, composite q and the character sum use them.
-    """
-    chi = [-1] * q
-    chi[0] = 0
-    root = [0] * q
-    for y in range(1, q // 2 + 1):
-        t = y * y % q
-        chi[t] = 1
-        root[t] = y
-    return tuple(chi), tuple(root)
-
-
-@lru_cache(maxsize=4)
-def _cubic_terms(q: int, a: int) -> tuple[int, ...]:
-    # x^3 + ax for every x; adding b later gives the full right-hand side
-    return tuple((x * x * x + a * x) % q for x in range(q))
-
-
-def _character_sum(q: int, a: int, b: int) -> int:
-    # q + 1 + sum of chi(x^3 + ax + b); unchecked, so for composite q it can
-    # leave the Hasse interval. Rotating chi by b turns chi[(t + b) % q] into
-    # a plain index, which saves the reduction on every term.
-    chi, _ = _square_tables(q)
-    shifted = chi[b:] + chi[:b]
-    return q + 1 + sum(map(shifted.__getitem__, _cubic_terms(q, a)))
-
-
-@lru_cache(maxsize=4)
-def _prime_field(q: int) -> Optional[tuple[int, int, int]]:
-    """Tonelli-Shanks' constants (odd, e, c) for an odd prime q, else None.
+def _prime_field(q: int) -> tuple[int, int, int]:
+    """Tonelli-Shanks' constants (odd, e, c) for the field F_q.
 
     q - 1 == odd * 2^e, and c = z^odd for the least non-square z mod q,
-    which has order 2^e. q == 2 gets None, as a composite q does: the search
-    for a non-square needs one, and F_2 has none.
+    which has order 2^e.
+
+    Raises:
+        HlsLabError: q is not an odd prime.
     """
     if q == 2 or not is_probable_prime(q):
-        return None
+        raise HlsLabError(f"field size {q} is not an odd prime")
     odd, e = q - 1, 0
     while odd % 2 == 0:
         odd //= 2
@@ -550,22 +520,19 @@ def _prime_field(q: int) -> Optional[tuple[int, int, int]]:
 
 
 def _square_root(t: int, q: int) -> Optional[int]:
-    """The root of t mod q that _square_tables(q) stores, or None when t is not a square.
+    """The square root of t mod an odd prime q in [0, q//2], or None when t is not a square.
 
-    For an odd prime q that is the one root in [0, q//2], found without the
-    tables by Tonelli-Shanks (Cohen, A Course in Computational Algebraic
-    Number Theory, Algorithm 1.5.1), whose first search for the order of
-    t^odd is Euler's criterion. It raises t to one power of about q; for
-    q == 3 mod 4 the loop ends at once, and a non-square costs no more than
-    a square.
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 1.5.1), whose first search for the order of t^odd is
+    Euler's criterion. It raises t to one power of about q; for q == 3 mod 4
+    the loop ends at once, and a non-square costs no more than a square.
+
+    Raises:
+        HlsLabError: q is not an odd prime.
     """
-    field = _prime_field(q)
-    if field is None:
-        chi, root = _square_tables(q)
-        return root[t] if chi[t] >= 0 else None
+    odd, e, c = _prime_field(q)
     if t == 0:
         return 0
-    odd, e, c = field
     w = pow(t, (odd - 1) // 2, q)
     # r^2 == t * u throughout, and u has order 2^i for some i < e
     r, u = w * t % q, w * w * t % q
@@ -584,9 +551,9 @@ def _square_root(t: int, q: int) -> Optional[int]:
 
 
 def _affine_points(q: int, a: int, b: int):
-    """One affine point (x, y) of y^2 = x^3 + ax + b per x that has one, by ascending x.
+    """One affine point (x, y) of y^2 = x^3 + ax + b over F_q per x that has one, by ascending x.
 
-    y is the root _square_root gives, the same for prime and composite q.
+    q is an odd prime, and y is the root in [0, q//2] that _square_root gives.
     """
     for x in range(q):
         y = _square_root((x * x * x + a * x + b) % q, q)
@@ -636,55 +603,65 @@ def _pinned_order(p: Point, e: CurveParams) -> Optional[int]:
     return found
 
 
-# Points of a curve tried, by ascending x, before its order is counted by
-# the character sum instead
+def _enumerated_order(q: int, a: int, b: int) -> int:
+    # O plus both points (x, +-y) of every affine point found, one if y == 0
+    return 1 + sum(1 if p.y == 0 else 2 for p in _affine_points(q, a, b))
+
+
+# Points of a curve tried, by ascending x, before its points are enumerated
+# instead
 _PIN_POINTS = 8
 
 
 @lru_cache(maxsize=64)
 def _group_order(q: int, a: int, b: int) -> int:
-    """The number of points of y^2 = x^3 + ax + b over F_q, O included.
+    """The number of points of y^2 = x^3 + ax + b over F_q, O included, for an odd prime q.
 
-    For prime q and a nonsingular curve, by Shanks and Mestre's baby-step
-    giant-step (Washington, Elliptic Curves, 2nd ed., section 4.3; Cohen,
-    A Course in Computational Algebraic Number Theory, section 7.4): #E
-    lies in the Hasse interval and #E * P == O for every P, so when exactly
-    one m in the interval has m * P == O for a point P, #E == m. The first
+    On a nonsingular curve, by Shanks and Mestre's baby-step giant-step
+    (Washington, Elliptic Curves, 2nd ed., section 4.3; Cohen, A Course in
+    Computational Algebraic Number Theory, section 7.4): #E lies in the
+    Hasse interval and #E * P == O for every P, so when exactly one m in
+    the interval has m * P == O for a point P, #E == m. The first
     _PIN_POINTS affine points by ascending x are tried, each with about
     3 q^(1/4) additions and one multiplication by about q. When none pins
     #E (the group's exponent leaves several multiples in the interval, as
-    on tiny fields), and for composite q or a singular curve, q + 1 plus
-    the sum of the quadratic characters of x^3 + ax + b counts it, in O(q).
+    on tiny fields), the affine points are enumerated, in O(q).
+
+    A singular curve has a closed form (Washington, section 2.10). With
+    a == 0 it is y^2 = x^3 + b: the cusp y^2 = x^3 for q > 3, and over
+    F_3 x -> x^3 + b is a bijection; q + 1 points either way. Otherwise it
+    is the node y^2 = (x - alpha)^2 (x + 2 alpha) with alpha = -3b / 2a,
+    and it has q + 1 - chi(3 alpha) points, chi the quadratic character.
     """
-    if _prime_field(q) is not None and not is_singular(q, a, b):
-        e = CurveParams(q, a % q, b % q, INFINITY, 1)
-        for p in islice(_affine_points(q, a, b), _PIN_POINTS):
-            m = _pinned_order(p, e)
-            if m is not None:
-                return m
-    return _character_sum(q, a, b)
+    if is_singular(q, a, b):
+        if a % q == 0:
+            return q + 1
+        alpha = -3 * b * mod_inv(2 * a, q)
+        return q if pow(3 * alpha, (q - 1) // 2, q) == 1 else q + 2
+    e = CurveParams(q, a % q, b % q, INFINITY, 1)
+    for p in islice(_affine_points(q, a, b), _PIN_POINTS):
+        m = _pinned_order(p, e)
+        if m is not None:
+            return m
+    return _enumerated_order(q, a, b)
 
 
 def count_points(q: int, a: int, b: int) -> int:
     """#E(F_q), affine solutions of y^2 = x^3 + ax + b plus the point at infinity.
 
-    For prime q and a nonsingular curve the count is pinned by baby-step
-    giant-step over the Hasse interval; otherwise, and on the rare curve
-    whose points cannot pin it, quadratic characters are summed over every
-    x. For singular (q,a,b) the sum still counts the cubic's solutions, it
-    just is not a group order.
+    q must be an odd prime. A nonsingular curve's count is pinned by
+    baby-step giant-step over the Hasse interval (or, on the rare curve
+    whose points cannot pin it, by enumerating the points); a singular
+    curve's count, which is not a group order, has a closed form.
 
     Raises:
-        HlsLabError: a nonsingular count lies outside the Hasse interval,
-            which only a composite q can cause.
         ResourceLimitError: q exceeds ENUMERATION_LIMIT.
+        HlsLabError: q is not an odd prime.
     """
     if q > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"field size {q} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    n_points = _group_order(q, a, b)
-    if not is_singular(q, a, b) and (q + 1 - n_points) ** 2 > 4 * q:
-        raise HlsLabError("point count outside Hasse interval")
-    return n_points
+    _prime_field(q)
+    return _group_order(q, a, b)
 
 
 @dataclass(frozen=True)
@@ -729,8 +706,6 @@ class _CompanionScan:
             self.next_b += 1
             if b_prime == e.b or is_singular(e.q, e.a, b_prime):
                 continue
-            # not count_points: on a composite q, which a curve file can carry past a
-            # skipped parameter gate, its Hasse check would end the scan
             self.counted.append((b_prime, _group_order(e.q, e.a, b_prime)))
             return True
         return False
@@ -761,15 +736,9 @@ class _CompanionScan:
             return None
         for p in _affine_points(e.q, e.a, b_prime):
             w = scalar_mul(k, p, e)
-            if w.is_infinity:
-                continue
-            # over a prime field, g prime and w != O force the order to be exactly g
-            if not scalar_mul(g, w, e).is_infinity:
-                raise HlsLabError(
-                    f"F_{e.q} is not a field: (N'/{g}) * P on the b'={b_prime} curve"
-                    f" does not have order {g}"
-                )
-            return w
+            # g is prime, so w != O has order exactly g
+            if not w.is_infinity:
+                return w
         return None
 
     def _probe(self, b_prime: int, k: int) -> bool:
@@ -802,12 +771,12 @@ def _companion_scan(e: CurveParams) -> _CompanionScan:
 def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
     """Deterministic search for a point of exact prime order g on some b' curve.
 
-    Scans b' = 1, 2, ... (skipping b' == e.b and singular coefficient pairs)
-    and counts each companion curve's points N' once per curve, as
-    count_points does (baby-step giant-step over the Hasse interval for
-    prime q): the scan stops at the first b' that serves g, a later call
-    resumes it there, and a prime asked for later is first answered from
-    the N' already counted. The four curves used last keep their scans.
+    e.q must be an odd prime. Scans b' = 1, 2, ... (skipping b' == e.b and
+    singular coefficient pairs) and counts each companion curve's points N'
+    once per curve, as count_points does (baby-step giant-step over the
+    Hasse interval): the scan stops at the first b' that serves g, a later
+    call resumes it there, and a prime asked for later is first answered
+    from the N' already counted. The four curves used last keep their scans.
 
     When g | N', the curve's points are multiplied, by ascending x, by N'/g
     until one gives a point other than O, which has order g. Such a point
@@ -820,14 +789,14 @@ def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
 
     Raises:
         NotFoundError: no b' in [1, q-1] gives (N'/g) * P != O for any P.
-        HlsLabError: q is not prime, which shows when such a product does
-            not have order g.
         ResourceLimitError: q exceeds ENUMERATION_LIMIT.
+        HlsLabError: q is not an odd prime.
     """
     if e.q > ENUMERATION_LIMIT:
         raise ResourceLimitError(
             f"field size {e.q} exceeds enumeration limit {ENUMERATION_LIMIT}"
         )
+    _prime_field(e.q)
     if g < 3 or not is_probable_prime(g):
         raise ValueError(f"order must be an odd prime >= 3, got {g}")
     return _companion_scan(e).point_of_order(g)

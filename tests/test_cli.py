@@ -435,11 +435,11 @@ class TestCurveSelection:
 @pytest.mark.parametrize(
     "curve_file, scenario, code",
     [
-        # the odd primes with a companion-curve point do not cover n
-        ("hang_budget_q9.json", "invalid-curve", 1),
+        # q = 9 is not prime: refused before any companion curve is counted
+        ("hang_budget_q9.json", "invalid-curve", 3),
         # every r * U_B is O or has x = 0
         ("hang_weak_key_q25.json", "weak-key", 1),
-        # composite q: a companion-curve point of the wrong order
+        # composite q: refused before any companion curve is counted
         ("composite_q45.json", "invalid-curve", 3),
     ],
 )
@@ -458,10 +458,24 @@ def test_hostile_curve_file_ends_in_one_line(curve_file, scenario, code, optimiz
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("curve_file", sorted(p.name for p in DATA_DIR.glob("*.json")))
+@pytest.mark.parametrize("scenario", ["invalid-curve", "weak-key"])
+def test_every_curve_file_attack_ends_in_one_line(run, curve_file, scenario):
+    # past a skipped gate every bundled curve file, composite q included,
+    # ends in an exit code of the contract, with no stderr on success and
+    # one line otherwise
+    code, _, err = run(
+        "attack", scenario, "--curve", str(DATA_DIR / curve_file),
+        "--skip-param-validation", "--seed", "1",
+    )
+    assert code in (0, 1, 2, 3)
+    assert len(err.splitlines()) == (code != 0)
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["python", "python-O"])
-def test_point_count_outside_hasse_interval_fails_under_every_flag(optimize):
-    # over F_9, y^2 = x^3 + 2x + 1 has 19 points, outside the Hasse interval
-    # [4, 16]; a fresh interpreter, so that -O applies to hlslab itself
+def test_point_count_on_composite_field_fails_under_every_flag(optimize):
+    # F_9 is not a field, so the supersingular check cannot count its
+    # points; a fresh interpreter, so that -O applies to hlslab itself
     src = str(Path(hlslab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = [sys.executable, *(["-O"] if optimize else []), "-m", "hlslab.cli", "validate"]
@@ -469,7 +483,7 @@ def test_point_count_outside_hasse_interval_fails_under_every_flag(optimize):
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=10, env=env)
     assert proc.returncode == 2
     assert (
-        "  [FAIL] supersingular: computation failed: point count outside Hasse interval"
+        "  [FAIL] supersingular: computation failed: field size 9 is not an odd prime"
         in proc.stdout.splitlines()
     )
 

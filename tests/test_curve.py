@@ -9,17 +9,15 @@ from random import Random
 
 import pytest
 
-from conftest import HOST_20, load_bad_fixture, outcome
+from conftest import HOST_20, character_sum, load_bad_fixture, outcome
 import hlslab.curve as curve_module
 from hlslab.curve import (
-    _character_sum,
     _double_and_add,
     _glv_split,
     _group,
     _group_order,
     _jacobian_add_affine,
     _square_root,
-    _square_tables,
     ENUMERATION_LIMIT,
     INFINITY,
     CurveParams,
@@ -37,7 +35,7 @@ from hlslab.curve import (
     scalar_mul,
     search_prime_order_curve,
 )
-from hlslab.errors import NotFoundError, NotInvertibleError, ResourceLimitError
+from hlslab.errors import HlsLabError, NotFoundError, NotInvertibleError, ResourceLimitError
 from hlslab.scenarios import default_g_budget
 
 # k -> k*G on the 19-point curve, frozen from repeated-addition enumeration
@@ -234,17 +232,27 @@ class TestCountPoints:
         assert count_points(5, 0, 0) == 6
 
     def test_matches_exhaustive_solution_count(self):
-        rng = Random(6)
-        for _ in range(20):
-            q = rng.choice([5, 7, 11, 13, 17, 19])
-            a, b = rng.randrange(q), rng.randrange(q)
-            naive = 1 + sum(
+        def naive(q, a, b):
+            return 1 + sum(
                 1
                 for x in range(q)
                 for y in range(q)
                 if (y * y - (x * x * x + a * x + b)) % q == 0
             )
-            assert count_points(q, a, b) == naive
+
+        rng = Random(6)
+        for _ in range(20):
+            q = rng.choice([5, 7, 11, 13, 17, 19])
+            a, b = rng.randrange(q), rng.randrange(q)
+            assert count_points(q, a, b) == naive(q, a, b)
+        # every singular curve, whose count has a closed form: (-3 alpha^2,
+        # 2 alpha^3) for each alpha (the cusp at 0, a node otherwise), and at
+        # q = 3 (0, b) for each b
+        for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            singular = [(a, b) for a in range(q) for b in range(q) if is_singular(q, a, b)]
+            assert len(singular) == q
+            for a, b in singular:
+                assert count_points(q, a, b) == naive(q, a, b), (q, a, b)
 
     def test_mid16_order(self, mid16):
         assert count_points(mid16.q, mid16.a, mid16.b) == mid16.n
@@ -254,13 +262,16 @@ class TestCountPoints:
         assert count_points(17, 3, 8) == 19
 
     def test_enumeration_limit(self):
+        # a prime above the limit, so that only the limit can refuse it
         with pytest.raises(ResourceLimitError):
-            count_points((1 << 21) + 1, 2, 2)
+            count_points(2_097_169, 2, 2)
 
-    def test_q_two_sums_characters(self):
-        # F_2 has no non-square for Tonelli-Shanks, so its count stays the
-        # character sum, which counts y^2 == 1 twice over x == 0
-        assert count_points(2, 0, 1) == 4
+    @pytest.mark.parametrize("q", [2, 9, 45])
+    def test_refuses_field_size_not_an_odd_prime(self, q):
+        # F_2 has no non-square for Tonelli-Shanks, and Z/9 and Z/45 are not fields
+        with pytest.raises(HlsLabError, match=f"^field size {q} is not an odd prime$") as info:
+            count_points(q, 0, 1)
+        assert type(info.value) is HlsLabError
 
 
 # 2^8, 2^1, 2^2 and 2^4 exactly divide q - 1, so that Tonelli-Shanks runs
@@ -274,25 +285,26 @@ class TestGroupOrder:
         for a in (0, 3):
             for b in range(q):
                 if not is_singular(q, a, b):
-                    assert _group_order(q, a, b) == _character_sum(q, a, b), (q, a, b)
+                    assert _group_order(q, a, b) == character_sum(q, a, b), (q, a, b)
 
     def test_falls_back_on_toy17(self, monkeypatch, toy):
         # every point of these six companion curves has order 11 or 12, of
         # which the Hasse interval [10, 26] holds two multiples each
-        sums = _count_calls(monkeypatch, "_character_sum")
+        enumerated = _count_calls(monkeypatch, "_enumerated_order")
         orders = {
             b: _group_order.__wrapped__(toy.q, toy.a, b)
             for b in range(1, toy.q)
             if b != toy.b and not is_singular(toy.q, toy.a, b)
         }
-        assert [b for _, _, b in sums] == [1, 6, 7, 10, 11, 16]
-        assert orders == {b: _character_sum(toy.q, toy.a, b) for b in orders}
+        assert [b for _, _, b in enumerated] == [1, 6, 7, 10, 11, 16]
+        assert orders == {b: character_sum(toy.q, toy.a, b) for b in orders}
 
     @pytest.mark.parametrize("q", SQRT_PRIMES)
     def test_square_root_equals_tables(self, q):
-        chi, root = _square_tables(q)
+        # for prime q each nonzero square has one root in [1, q//2]
+        roots = {y * y % q: y for y in range(q // 2 + 1)}
         for t in range(q):
-            assert _square_root(t, q) == (root[t] if chi[t] >= 0 else None), (q, t)
+            assert _square_root(t, q) == roots.get(t), (q, t)
 
 
 class TestFindInvalidCurvePoint:
@@ -327,6 +339,12 @@ class TestFindInvalidCurvePoint:
     def test_enumeration_limit(self, secp256k1):
         with pytest.raises(ResourceLimitError):
             find_invalid_curve_point(secp256k1, 3)
+
+    def test_composite_field_refused_before_any_count(self, monkeypatch):
+        orders = _count_calls(monkeypatch, "_group_order")
+        with pytest.raises(HlsLabError, match="^field size 45 is not an odd prime$"):
+            find_invalid_curve_point(load_bad_fixture("composite_q45"), 3)
+        assert orders == []
 
 
 # two curves of the invalid-curve benchmark's pool: on q = 42331 the
@@ -394,10 +412,9 @@ class TestCompanionScan:
     def test_cold_budget_builds_no_table_over_the_field(self, monkeypatch):
         curve_module._companion_scan.cache_clear()
         curve_module._group_order.cache_clear()
-        names = ("_character_sum", "_square_tables", "_cubic_terms")
-        calls = {name: _count_calls(monkeypatch, name) for name in names}
+        enumerated = _count_calls(monkeypatch, "_enumerated_order")
         assert default_g_budget(POOL_60427) == [g for g, *_ in PINNED_COMPANIONS["pool_60427"]]
-        assert calls == {name: [] for name in names}
+        assert enumerated == []
 
     def test_non_cyclic_part_is_probed_not_walked(self, monkeypatch):
         # walking every point of the Z/3 x Z/3 curve took 21,037 multiplications

@@ -22,14 +22,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import outcome  # noqa: E402
+from conftest import affine_points, outcome  # noqa: E402
 from hlslab.arith import is_probable_prime  # noqa: E402
 from hlslab.curve import (  # noqa: E402
     INFINITY,
     CurveParams,
     Point,
-    _affine_points,
-    _character_sum,
     _double_and_add,
     _group,
     count_points,
@@ -51,7 +49,7 @@ def assert_same_outcomes(p, e, ks):
 
 def on_curve_points(q, a, b):
     """Every affine (x, y) in [0, q)^2 with y^2 = x^3 + ax + b mod q, up to the sign of y."""
-    return list(_affine_points(q, a, b))
+    return affine_points(q, a, b)
 
 
 @st.composite
@@ -80,7 +78,7 @@ def curves(draw):
     if is_probable_prime(q) and draw(st.booleans()):
         # the first of the next 50 coefficients whose curve has a prime
         # number of points; for a = 0 and q == 2 mod 3 there is none
-        sums = ((c % q, _character_sum(q, a, c % q)) for c in range(b, b + 50))
+        sums = ((c % q, count_points(q, a, c % q)) for c in range(b, b + 50))
         found = next(((c, n) for c, n in sums if is_probable_prime(n)), None)
         if found is not None and on_curve_points(q, a, found[0]):
             b, n = found
