@@ -13,12 +13,23 @@ e, n is prime, n * G == O and 2n > q + 1 + floor(2 sqrt q), Hasse's bound
 proves E(F_q) cyclic of order n, whatever cofactor the parameters declare.
 A point on such a curve has its k reduced mod n; multiples of G come from a
 table of fixed-base windows, and on a = 0 curves with q == n == 1 mod 3
-other multiples are split by the GLV endomorphism. Every other curve and
-point takes plain double-and-add with k as given. b only picks the path, by
-telling whether G and the point lie on e; it never changes the result,
-because both paths compute the same group element, and a point off e (a
-companion-curve point of the invalid-curve attack) is multiplied exactly as
-before, unreduced and unsplit.
+other multiples are split by the GLV endomorphism and taken by one
+interleaved width-5 NAF chain. Every other curve and point takes plain
+double-and-add with k as given. b only picks the path, by telling whether
+G and the point lie on e; it never changes the result, because both paths
+compute the same group element, and a point off e (a companion-curve point
+of the invalid-curve attack) is multiplied exactly as before, unreduced and
+unsplit.
+
+scalar_mul_sum(j, k, p, e) is j * G + k * p, the shape of both signature
+checks. It is point_add of two scalar_mul results, exceptions included; on
+a proven GLV curve with p on e it takes all four GLV halves in one chain.
+
+The GLV chains read the odd multiples P, 3P, ..., 15P of each point and
+their negations from a table kept for the 32 points used last. A table is
+built only for a point that passed the gate above (p on e, group proven),
+so it holds multiples of a public point of the right group: a point off e,
+or of an unproven curve, never reaches it, and no scalar is ever kept.
 
 Point counts come from one private order function, behind count_points
 and the companion-curve scan of find_invalid_curve_point; both refuse a
@@ -64,11 +75,15 @@ __all__ = [
     "point_neg",
     "point_to_obj",
     "scalar_mul",
+    "scalar_mul_sum",
     "search_prime_order_curve",
 ]
 
-# Exhaustive sweeps (point counting, invalid-curve search) refuse fields
-# larger than this; O(q) work stays under seconds at this size.
+# Point counting, the companion-curve scan and the prime-order curve search
+# refuse fields larger than this. One count is O(q^(1/4)) group operations
+# (baby-step giant-step), but a scan may count up to q - 1 companion curves
+# and the rare curve whose points cannot pin its order is enumerated in
+# O(q); each stays under seconds at this size.
 ENUMERATION_LIMIT = 1 << 20
 
 
@@ -393,32 +408,87 @@ def _glv_split(k: int, n: int, basis: _Basis) -> tuple[int, int]:
     return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
 
 
-def _glv_mul(k: int, p: Point, glv: _Glv, e: CurveParams) -> Point:
-    """k * p as k1 * p + k2 * phi(p), by one Straus-Shamir double-and-add.
+# The GLV path's table of odd multiples of a point holds P, 3P, ..., 15P,
+# then -15P, ..., -3P, -P, so that a width-5 NAF digit d reads entry d >> 1
+_ODD_MULTIPLES = 8
+_OddTable = tuple[Optional[Point], ...]
 
-    p lies on e and 0 < k < n. Each step doubles once and adds p, phi(p) or
-    their sum, chosen by one bit of |k1| and of |k2|; the signs of k1 and k2
-    are folded into the points. p + phi(p) == (1 + lam) * p is never O,
-    because lam is neither 1 nor -1 mod n for n > 3.
+
+def _wnaf(k: int) -> list[int]:
+    """Width-5 non-adjacent form of k, least significant digit first.
+
+    k == sum(d * 2^i), every nonzero digit is odd with |d| < 16, and any two
+    nonzero digits are at least 5 places apart (Hankerson, Menezes and
+    Vanstone, Guide to Elliptic Curve Cryptography, Algorithm 3.35). A
+    negative k gives the digits of -k, negated.
+    """
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            # k mod 32, taken in [-15, 15]
+            d = ((k + 16) & 31) - 16
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+@lru_cache(maxsize=32)
+def _odd_multiples(p: Point, e: CurveParams) -> tuple[_OddTable, _OddTable]:
+    """The odd-multiple tables of p and of phi(p) = (beta * x, y), for p on e.
+
+    e's group is proven cyclic of prime order n and has GLV constants, and
+    p != O lies on e. Built with one affine doubling, 7 mixed additions of
+    2p and one batched inversion; phi(p)'s table is p's with every x times
+    beta. An entry is O (None) only when n <= 15 divides its multiple; the
+    two such curves with GLV constants (q == 7, n == 7 or 13) split every
+    k < n into halves of -1, 0 and 1, so no digit ever reads one.
     """
     q = e.q
-    beta, _, basis = glv
-    k1, k2 = _glv_split(k, e.n, basis)
-    p1 = Point(p.x % q, p.y % q)
-    p2 = Point(beta * p1.x % q, p1.y)
-    if k1 < 0:
-        k1, p1 = -k1, point_neg(p1, e)
-    if k2 < 0:
-        k2, p2 = -k2, point_neg(p2, e)
-    addends = (None, p1, p2, _to_affine(_jacobian_add_affine((p1.x, p1.y, 1), p2, e), q))
-    width = max(k1.bit_length(), k2.bit_length())
+    beta = _group(e).glv[0]
+    p = Point(p.x % q, p.y % q)
+    two_p = point_add(p, p, e)
+    chain = [(p.x, p.y, 1)]
+    for _ in range(_ODD_MULTIPLES - 1):
+        chain.append(_jacobian_add_affine(chain[-1], two_p, e))
+    odd = _batch_to_affine(chain, q)
+    table = odd + [None if m is None else point_neg(m, e) for m in reversed(odd)]
+    phi = [None if m is None else Point(beta * m.x % q, m.y) for m in table]
+    return tuple(table), tuple(phi)
+
+
+def _glv_mul(terms: tuple[tuple[int, Point], ...], glv: _Glv, e: CurveParams) -> Point:
+    """The sum of k * p over terms, by one interleaved width-5 NAF chain.
+
+    Every p lies on e, whose group _group has proven, and every k is in
+    [0, n). Each k is split as k1 + k2 * lam (Gallant, Lambert and
+    Vanstone, CRYPTO 2001), so k * p == k1 * p + k2 * phi(p) with |k1|,
+    |k2| about sqrt(n). The halves of every term are recoded in width-5
+    NAF and walked together from the top digit (Moeller, "Algorithms for
+    multi-exponentiation", SAC 2001): one chain of about log2(n) / 2
+    doublings, and one mixed addition of a table entry per nonzero digit,
+    about one in six. Signs live in the digits. Every point involved is on
+    e, so an addition that meets its own operand doubles and one that meets
+    its negation gives O, as the group law does.
+    """
+    _, _, basis = glv
+    pieces = []
+    for k, p in terms:
+        table, phi_table = _odd_multiples(p, e)
+        k1, k2 = _glv_split(k, e.n, basis)
+        pieces += [(_wnaf(k1), table), (_wnaf(k2), phi_table)]
+    addends: list[list[Point]] = [[] for _ in range(max(len(d) for d, _ in pieces))]
+    for digits, table in pieces:
+        for i, d in enumerate(digits):
+            if d:
+                addends[i].append(table[d >> 1])
     acc = _JACOBIAN_INFINITY
-    for bit1, bit2 in zip(f"{k1:0{width}b}", f"{k2:0{width}b}"):
+    for row in reversed(addends):
         acc = _jacobian_double(acc, e)
-        digit = (bit1 == "1") + 2 * (bit2 == "1")
-        if digit:
-            acc = _jacobian_add_affine(acc, addends[digit], e)
-    return _to_affine(acc, q)
+        for m in row:
+            acc = _jacobian_add_affine(acc, m, e)
+    return _to_affine(acc, e.q)
 
 
 def _fixed_base_mul(k: int, table: _Table, e: CurveParams) -> Point:
@@ -449,7 +519,8 @@ def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
 
     Both paths work in Jacobian coordinates with mixed Jacobian+affine
     addition, so the only field inversion is the conversion back to affine
-    at the end, and every formula reads only q and a, never b.
+    at the end (and, on the GLV path, two when a point's table is built),
+    and every formula reads only q and a, never b.
 
     Which path runs depends on one proof about e, made once per curve (the
     four curves used last keep it), and on whether p satisfies e's equation:
@@ -462,8 +533,12 @@ def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
       doublings. When a == 0 and q == n == 1 mod 3, any other k * p is
       k1 * p + k2 * phi(p) with phi(x, y) = (beta * x, y), beta^3 == 1,
       and |k1|, |k2| about sqrt(n) (Gallant, Lambert and Vanstone, CRYPTO
-      2001), taken by one double-and-add over both points, with half the
-      doublings. Every other point takes double-and-add with the reduced k.
+      2001), both halves recoded in width-5 NAF and taken by one chain with
+      half the doublings and an addition per six bits. Their odd multiples
+      come from a table kept for the 32 points used last; only a point that
+      reached this branch gets one, so only public points of the proven
+      group are kept, never k. Every other point takes double-and-add with
+      the reduced k.
     - anything else, including every point off e and every point of a
       curve whose order is unproven (a cofactor above 1, or a wrong n):
       left-to-right double-and-add with k used as-is, never reduced.
@@ -493,8 +568,28 @@ def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
             if k == 0:
                 return INFINITY
             if group.glv is not None:
-                return _glv_mul(k, p, group.glv, e)
+                return _glv_mul(((k, p),), group.glv, e)
     return _double_and_add(k, p, e)
+
+
+def scalar_mul_sum(j: int, k: int, p: Point, e: CurveParams) -> Point:
+    """j * G + k * p, the shape of the checks s * G + h * R and z * G + c * U.
+
+    The result, or the exception raised, is always that of
+    point_add(scalar_mul(j, e.g, e), scalar_mul(k, p, e), e). When j and k
+    are nonnegative, p != O lies on e, and e's group is proven cyclic of
+    prime order n with GLV constants (see scalar_mul), j and k are reduced
+    mod n, and the GLV halves of both are taken by one interleaved width-5
+    NAF chain: the doublings of one multiplication instead of two. The
+    table of G's odd multiples is kept like any other point's. Every other
+    input (a point off e, a curve without the proof or without GLV, a
+    negative scalar) takes the two scalar_mul calls and point_add.
+    """
+    if e.a == 0 and j >= 0 and k >= 0 and not p.is_infinity and is_on_curve(p, e):
+        group = _group(e)
+        if group is not None and group.glv is not None:
+            return _glv_mul(((j % e.n, e.g), (k % e.n, p)), group.glv, e)
+    return point_add(scalar_mul(j, e.g, e), scalar_mul(k, p, e), e)
 
 
 @lru_cache(maxsize=4)

@@ -28,10 +28,10 @@ from .curve import (
     CurveParams,
     Point,
     is_on_curve,
-    point_add,
     point_from_obj,
     point_to_obj,
     scalar_mul,
+    scalar_mul_sum,
 )
 from .errors import (
     ForcedEphemeralError,
@@ -190,11 +190,7 @@ def _unsigncrypt(
     key = derive_key(shared, e, mode)
     message = stream_decrypt(key, sigma.ciphertext)
     h = bound_hash(message, sigma.ephemeral, e)
-    check = point_add(
-        scalar_mul(sigma.signature, e.g, e),
-        scalar_mul(h, sigma.ephemeral, e),
-        e,
-    )
+    check = scalar_mul_sum(sigma.signature, h, sigma.ephemeral, e)
     return (message if check == pub_sender else None), key
 
 

@@ -25,10 +25,10 @@ from .curve import (
     count_points,
     is_on_curve,
     is_singular,
-    point_add,
     point_from_obj,
     point_to_obj,
     scalar_mul,
+    scalar_mul_sum,
 )
 from .errors import (
     HlsLabError,
@@ -85,7 +85,7 @@ def schnorr_sign(body: bytes, d: int, e: CurveParams, rng: Random) -> SchnorrSig
 def schnorr_verify(body: bytes, sig: SchnorrSig, pub: Point, e: CurveParams) -> bool:
     if not (0 <= sig.e < e.n and 0 <= sig.z < e.n):
         return False
-    commitment = point_add(scalar_mul(sig.z, e.g, e), scalar_mul(sig.e, pub, e), e)
+    commitment = scalar_mul_sum(sig.z, sig.e, pub, e)
     return sig.e == hash_to_scalar(_point_bytes(commitment, e.q) + body, e.n)
 
 

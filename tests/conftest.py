@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 from hlslab.cli import load_curve
-from hlslab.curve import CurveParams, Point, curve_from_dict
+from hlslab.curve import (
+    CurveParams,
+    Point,
+    curve_from_dict,
+    point_add,
+    scalar_mul,
+    scalar_mul_sum,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -65,3 +72,11 @@ def outcome(k, p, e, mul):
         return mul(k, p, e)
     except Exception as exc:  # every path must keep every exception as it was
         return type(exc), str(exc)
+
+
+def sum_outcomes(j, k, p, e):
+    """scalar_mul_sum(j, k, p, e) and point_add of the two products, or what each raised."""
+    return [
+        outcome(k, p, e, lambda k, p, e: scalar_mul_sum(j, k, p, e)),
+        outcome(k, p, e, lambda k, p, e: point_add(scalar_mul(j, e.g, e), scalar_mul(k, p, e), e)),
+    ]

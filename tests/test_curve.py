@@ -9,14 +9,16 @@ from random import Random
 
 import pytest
 
-from conftest import HOST_20, character_sum, load_bad_fixture, outcome
+from conftest import HOST_20, character_sum, load_bad_fixture, outcome, sum_outcomes
 import hlslab.curve as curve_module
 from hlslab.curve import (
     _double_and_add,
+    _glv_mul,
     _glv_split,
     _group,
     _group_order,
     _jacobian_add_affine,
+    _odd_multiples,
     _square_root,
     ENUMERATION_LIMIT,
     INFINITY,
@@ -33,6 +35,7 @@ from hlslab.curve import (
     point_neg,
     point_to_obj,
     scalar_mul,
+    scalar_mul_sum,
     search_prime_order_curve,
 )
 from hlslab.errors import HlsLabError, NotFoundError, NotInvertibleError, ResourceLimitError
@@ -490,8 +493,10 @@ class TestFixedBaseTable:
 
     def test_scalar_mul_stays_the_only_public_multiplication(self, monkeypatch, mid16):
         # a cold table is built without the public scalar_mul, so each k * G
-        # is one scalar_mul call, as the benchmark's scalar_mul counts assume
-        assert [name for name in curve_module.__all__ if "mul" in name] == ["scalar_mul"]
+        # is one scalar_mul call, as the benchmark's scalar_mul counts assume;
+        # scalar_mul_sum is the one other public multiplication, j * G + k * P
+        names = [name for name in curve_module.__all__ if "mul" in name]
+        assert names == ["scalar_mul", "scalar_mul_sum"]
         _group.cache_clear()
         mults = _count_calls(monkeypatch, "scalar_mul")
         curve_module.scalar_mul(12345, mid16.g, mid16)
@@ -573,6 +578,101 @@ class TestGroupProof:
             assert scalar_mul(k, p, e) == affine_scalar_mul(k, p, e), k
         assert scalar_mul(e.n, p, e) != INFINITY
         assert scalar_mul(e.n + 1, p, e) != p
+
+
+# y^2 = x^3 + 3 over F_7 has 13 points: its group is proven cyclic of prime
+# order 13 and has GLV constants, and 13 * P == O is an entry of every
+# odd-multiple table
+TINY_GLV = CurveParams(q=7, a=0, b=3, g=Point(1, 2), n=13)
+
+
+class TestGlvChain:
+    @pytest.mark.parametrize("name", ["secp256k1", "tiny"])
+    def test_odd_multiple_tables(self, request, name):
+        e = TINY_GLV if name == "tiny" else request.getfixturevalue(name)
+        beta = _group(e).glv[0]
+        table, phi_table = _odd_multiples(e.g, e)
+        for m in range(1, 16, 2):
+            multiple = affine_scalar_mul(m, e.g, e)
+            negated = point_neg(multiple, e)
+            for d, expected in ((m, multiple), (-m, negated)):
+                if expected.is_infinity:
+                    assert table[d >> 1] is phi_table[d >> 1] is None
+                else:
+                    assert table[d >> 1] == expected, d
+                    assert phi_table[d >> 1] == Point(beta * expected.x % e.q, expected.y), d
+        assert (table[13 >> 1] is None) == (name == "tiny")
+
+    @pytest.mark.parametrize("which", ["G", "-G", "phi(G)"])
+    def test_edge_scalars_equal_double_and_add(self, secp256k1, which):
+        e = secp256k1
+        n, glv = e.n, _group(e).glv
+        beta, lam, _ = glv
+        p = {
+            "G": e.g,
+            "-G": point_neg(e.g, e),
+            "phi(G)": Point(beta * e.g.x % e.q, e.g.y),
+        }[which]
+        scalars = [1, 2, lam, n - lam, (n - 1) // 2, (n + 1) // 2, n - 1, n, n + 1]
+        scalars += [2**128 - 1, 2**128 + 1]
+        for k in scalars:
+            expected = _double_and_add(k, p, e)
+            assert scalar_mul(k, p, e) == expected, k
+            assert scalar_mul_sum(0, k, p, e) == expected, k
+            if k % n:
+                assert _glv_mul(((k % n, p),), glv, e) == expected, k
+
+    def test_tiny_curve_sum_equals_point_add_of_products(self):
+        # every (x, y) of F_7^2 and O, on the curve or off it; only on-curve
+        # points with nonnegative scalars take the chain
+        e = TINY_GLV
+        points = [INFINITY] + [Point(x, y) for x in range(e.q) for y in range(e.q)]
+        for p in points:
+            for j in range(-1, e.n + 2):
+                for k in range(-1, e.n + 2):
+                    first, second = sum_outcomes(j, k, p, e)
+                    assert first == second, (p, j, k)
+
+    def test_off_curve_sum_equals_point_add_of_products_on_secp256k1(self, secp256k1):
+        # a point of y^2 = x^3 + b' with b' != 7 keeps both products and
+        # point_add, so k is not reduced; (x_G, y') with y' != +-y_G meets G
+        # in point_add with no chord between them
+        e = secp256k1
+        rng = Random(10)
+        p = Point(rng.randrange(e.q), rng.randrange(e.q))
+        shares_x = Point(e.g.x, (e.g.y + 1) % e.q)
+        assert not is_on_curve(p, e) and not is_on_curve(shares_x, e)
+        cases = [(0, 0), (1, 0), (0, 1), (-1, 1), (1, -1), (3, e.n), (e.n, e.n + 1)]
+        cases += [(rng.randrange(e.n), rng.randrange(e.n)) for _ in range(3)]
+        for j, k in cases:
+            first, second = sum_outcomes(j, k, p, e)
+            assert first == second, (j, k)
+        first, second = sum_outcomes(1, 1, shares_x, e)
+        assert first == second == (NotInvertibleError, first[1])
+
+    def test_cofactor_four_host_sum_equals_point_add_of_products(self):
+        e = HOST_20
+        points = [INFINITY] + [Point(x, y) for x in range(e.q) for y in range(e.q)]
+        outcomes = set()
+        for p in points:
+            for j in (-1, 0, 1, 2, 5):
+                for k in range(-1, 11):
+                    first, second = sum_outcomes(j, k, p, e)
+                    assert first == second, (p, j, k)
+                    outcomes.add(type(first))
+        assert outcomes == {Point, tuple}
+
+    def test_table_cache_is_bounded(self, secp256k1):
+        e = secp256k1
+        maxsize = _odd_multiples.cache_info().maxsize
+        assert maxsize == 32
+        _odd_multiples.cache_clear()
+        p = e.g
+        for _ in range(maxsize + 8):
+            p = point_add(p, e.g, e)
+            scalar_mul(3, p, e)
+            assert _odd_multiples.cache_info().currsize <= maxsize
+        assert _odd_multiples.cache_info().currsize == maxsize
 
 
 class TestSearchPrimeOrderCurve:

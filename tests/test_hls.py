@@ -11,7 +11,17 @@ from random import Random
 import pytest
 
 from conftest import HOST_20
-from hlslab.curve import INFINITY, CurveParams, Point, find_invalid_curve_point, scalar_mul
+import hlslab.curve as curve_module
+from hlslab.curve import (
+    INFINITY,
+    CurveParams,
+    Point,
+    _odd_multiples,
+    find_invalid_curve_point,
+    is_on_curve,
+    scalar_mul,
+    scalar_mul_sum,
+)
 from hlslab.errors import (
     ForcedEphemeralError,
     InvalidEphemeralKeyError,
@@ -352,20 +362,77 @@ class TestConfirmationOracle:
         sigma = signcrypt(b"counted", sender.d, recipient.pub, mid16, rng, Mode.HARDENED)
         calls = []
 
-        def counting_scalar_mul(*args):
-            calls.append(args)
-            return scalar_mul(*args)
+        def counting(mul):
+            def counted(*args):
+                calls.append(args)
+                return mul(*args)
 
-        monkeypatch.setattr("hlslab.hls.scalar_mul", counting_scalar_mul)
+            return counted
+
+        # n * R, d_B * R, and s * G + h * R in one call
+        monkeypatch.setattr("hlslab.hls.scalar_mul", counting(scalar_mul))
+        monkeypatch.setattr("hlslab.hls.scalar_mul_sum", counting(scalar_mul_sum))
         assert unsigncrypt(sigma, recipient.d, sender.pub, mid16, Mode.HARDENED) == b"counted"
         unsigncrypt_calls = len(calls)
         calls.clear()
         result = confirmation_oracle(
             sigma, recipient.d, sender.pub, mid16, b"c", ConfirmPolicy.HARDENED
         )
-        assert len(calls) == unsigncrypt_calls == 4
+        assert len(calls) == unsigncrypt_calls == 3
         key = derive_key(scalar_mul(recipient.d, sigma.ephemeral, mid16), mid16, Mode.HARDENED)
         assert result == (b"c", mac(key, b"c"))
+
+
+class TestSecp256k1PointTables:
+    def test_off_curve_ephemeral_gets_no_table(self, secp256k1):
+        # vulnerable unsigncrypt multiplies an R off e by double-and-add, so
+        # no odd-multiple table is built for it
+        e = secp256k1
+        rng = Random(31)
+        sender, recipient = gen(e, rng), gen(e, rng)
+        sigma = signcrypt(b"tables", sender.d, recipient.pub, e, rng, Mode.VULNERABLE)
+        _odd_multiples.cache_clear()
+        assert unsigncrypt(sigma, recipient.d, sender.pub, e) == b"tables"
+        # R's table and G's
+        built = _odd_multiples.cache_info()
+        assert (built.misses, built.currsize) == (2, 2)
+        r = sigma.ephemeral
+        off_curve = dataclasses.replace(sigma, ephemeral=Point(r.x, (r.y + 1) % e.q))
+        assert not is_on_curve(off_curve.ephemeral, e)
+        assert unsigncrypt(off_curve, recipient.d, sender.pub, e) is None
+        after = _odd_multiples.cache_info()
+        assert (after.misses, after.currsize) == (built.misses, built.currsize)
+
+    def test_hardened_session_operation_counts(self, secp256k1, monkeypatch):
+        # signcrypt, unsigncrypt and confirm at a fixed seed, once to warm the
+        # group proof and the recipient key's table, then counted; the
+        # counts repeat exactly, and the bounds sit just above them
+        e = secp256k1
+        rng = Random(7)
+        sender, recipient = gen(e, rng), gen(e, rng)
+
+        def session():
+            sigma = signcrypt(b"counted", sender.d, recipient.pub, e, rng, Mode.HARDENED)
+            assert unsigncrypt(sigma, recipient.d, sender.pub, e, Mode.HARDENED) == b"counted"
+            confirmed = confirmation_oracle(
+                sigma, recipient.d, sender.pub, e, b"c", ConfirmPolicy.HARDENED
+            )
+            assert confirmed is not None
+
+        session()
+        counts = {}
+        for name in ("_jacobian_add_affine", "_jacobian_double", "mod_inv"):
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=getattr(curve_module, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(curve_module, name, counted)
+        session()
+        assert counts["_jacobian_add_affine"] <= 375
+        assert counts["_jacobian_double"] <= 635
+        assert counts["mod_inv"] <= 8
 
 
 class TestSerialization:

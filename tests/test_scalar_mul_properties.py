@@ -6,6 +6,9 @@ curve or off it. Whichever path scalar_mul takes, its outcome (the point,
 or the type and message of what it raised) must be double-and-add's for
 every k in [0, 4n]. A second test runs the GLV split on every a = 0 curve
 of prime order over a small q == 1 mod 3, where its lattice basis is tiny.
+scalar_mul_sum must give point_add of two scalar_mul results, exceptions
+included, on both kinds of curve, and the width-5 NAF recoding behind the
+GLV chain must sum back to its scalar with sparse odd digits.
 
 Hypothesis is a test-only dependency (the `test` extra); without it this
 module is skipped. Examples come from a fixed seed and no example database
@@ -22,7 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import affine_points, outcome  # noqa: E402
+from conftest import affine_points, outcome, sum_outcomes  # noqa: E402
 from hlslab.arith import is_probable_prime  # noqa: E402
 from hlslab.curve import (  # noqa: E402
     INFINITY,
@@ -30,6 +33,7 @@ from hlslab.curve import (  # noqa: E402
     Point,
     _double_and_add,
     _group,
+    _wnaf,
     count_points,
     is_on_curve,
     scalar_mul,
@@ -130,3 +134,31 @@ def test_glv_split_matches_double_and_add(data):
     assert_same_outcomes(p, e, [*ks, n - 1, n, n + 1])
     if is_on_curve(p, e):
         assert all(double_and_add(k, p, e) == scalar_mul(k % n, p, e) for k in ks)
+
+
+@seed(20101004)
+@SETTINGS
+@given(st.data())
+def test_scalar_mul_sum_matches_point_add_of_products(data):
+    if data.draw(st.booleans()):
+        e = data.draw(curves())
+    else:
+        q, b, n = data.draw(st.sampled_from(glv_curves()))
+        e = CurveParams(q=q, a=0, b=b, g=data.draw(st.sampled_from(on_curve_points(q, 0, b))), n=n)
+    p = data.draw(points(e.q, e.a, e.b))
+    scalars = st.integers(-1, 4 * e.n)
+    for j, k in data.draw(st.lists(st.tuples(scalars, scalars), min_size=1, max_size=6)):
+        got, expected = sum_outcomes(j, k, p, e)
+        assert got == expected, (e, p, j, k)
+
+
+@seed(20101005)
+@SETTINGS
+@given(st.integers(-(1 << 300), 1 << 300))
+def test_wnaf_digits(k):
+    digits = _wnaf(k)
+    assert sum(d << i for i, d in enumerate(digits)) == k
+    assert not digits or digits[-1] != 0
+    nonzero = [i for i, d in enumerate(digits) if d]
+    assert all(digits[i] % 2 == 1 and abs(digits[i]) < 16 for i in nonzero)
+    assert all(later - earlier >= 5 for earlier, later in zip(nonzero, nonzero[1:]))
