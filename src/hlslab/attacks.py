@@ -236,6 +236,9 @@ def invalid_curve_attack(
     The matching j pins the recipient key to +-j mod g; the sign ambiguity
     (derive_key sees only x, identical for K and -K) is resolved at the end
     by enumerating sign combinations through the CRT and testing d*G.
+    Vulnerable derive_key gives O the key of x = 0, so a match at j = 0 also
+    fits every j <= g/2 whose j*W has x = 0; those j are found by point
+    additions, with no further MAC trial, and kept as CRT options too.
 
     One oracle query per g, including rejected ones. Rounds the oracle
     refuses (a validating recipient) or fails to match contribute nothing;
@@ -255,7 +258,8 @@ def invalid_curve_attack(
         transcript.append(
             f"warning: product of orders {product} <= n = {e.n}, recovery cannot be unique"
         )
-    residues: list[tuple[int, int]] = []
+    # the residues mod g that the tag allows, and g, per answered round
+    residues: list[tuple[list[int], int]] = []
     queries = 0
     mac_trials = 0
     for g in g_budget:
@@ -295,14 +299,30 @@ def invalid_curve_attack(
         if matched_j is None:
             transcript.append(f"g={g}: no candidate key matched in {round_trials} trials")
             continue
-        residues.append((matched_j, g))
         transcript.append(
             f"g={g}: d_B == +-{matched_j} (mod {g}) after {round_trials} trials"
             f" (bound {g // 2 + 1})"
         )
-    sign_options = [(j,) if j == 0 else (j, g - j) for j, g in residues]
+        if matched_j:
+            options = [matched_j, g - matched_j]
+        else:
+            options = [0]
+            # the j whose j * W has O's key, x = 0
+            zero_x = []
+            candidate = w
+            for j in range(1, g // 2 + 1):
+                if candidate.x == 0:
+                    zero_x.append(j)
+                candidate = point_add(candidate, w, e)
+            if zero_x:
+                options += [r for j in zero_x for r in (j, g - j)]
+                transcript.append(
+                    f"g={g}: j*W has x = 0 for j in {zero_x}, whose key is that of j = 0;"
+                    f" d_B == +-j (mod {g}) for those j kept as options"
+                )
+        residues.append((options, g))
     moduli = [g for _, g in residues]
-    for combo in itertools.product(*sign_options) if residues else ():
+    for combo in itertools.product(*(options for options, _ in residues)) if residues else ():
         candidate_d = crt_combine(zip(combo, moduli))
         if not 1 <= candidate_d < e.n:
             continue

@@ -1,11 +1,15 @@
 """Short-Weierstrass elliptic-curve arithmetic over prime fields, desk scale.
 
-The affine chord-and-tangent formulas, and the Jacobian doubling and mixed
+The affine chord-and-tangent law, and the Jacobian doubling and mixed
 addition behind scalar_mul, read only the field size q and the coefficient
 a. They never consult b. That is a real property of the group law, and it
 is load-bearing here: a point that satisfies y^2 = x^3 + ax + b' for some
 b' != b will be processed by these same formulas, silently moving the
 computation into the group of the wrong curve. Keep it that way.
+
+The affine law is written once, as a kernel on integer pairs (x, y) with
+None for O. point_add is that kernel between Point wrappers, and the point
+count runs on pairs through it, building no Point per addition.
 
 scalar_mul has two paths (see its docstring), and one proof, made once per
 curve, picks between them. When q is prime, e is nonsingular, G != O lies on
@@ -35,11 +39,13 @@ Point counts come from one private order function, behind count_points
 and the companion-curve scan of find_invalid_curve_point; both refuse a
 field size that is not an odd prime before anything is counted. On a
 nonsingular curve the order function pins #E by Shanks and Mestre's
-baby-step giant-step over the Hasse interval, in O(q^(1/4)) group
-operations, and it finds points by Euler's criterion and a modular square
-root, so nothing of size q is built. A singular curve's count has a closed
-form, and only the rare curve whose first points leave the count open
-(tiny fields) is counted point by point, in O(q).
+baby-step giant-step over the Hasse interval, in O(q^(1/4)) kernel
+additions and one double-and-add, and it finds points by Euler's criterion
+and a modular square root, so nothing of size q is built. A singular
+curve's count has a closed form, and only the rare curve whose first points
+leave the count open (tiny fields) is counted point by point, in O(q). On
+a = 0 the scan counts one companion curve per twist class of b', at most
+six in all, since isomorphic curves have equal orders.
 
 Points deliberately carry no curve reference and are never checked against
 any equation on construction, because off-curve points are first-class
@@ -51,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt
 from random import Random
 from typing import Optional
 
@@ -81,9 +87,9 @@ __all__ = [
 
 # Point counting, the companion-curve scan and the prime-order curve search
 # refuse fields larger than this. One count is O(q^(1/4)) group operations
-# (baby-step giant-step), but a scan may count up to q - 1 companion curves
-# and the rare curve whose points cannot pin its order is enumerated in
-# O(q); each stays under seconds at this size.
+# (baby-step giant-step), but a scan with a != 0 may count up to q - 1
+# companion curves and the rare curve whose points cannot pin its order is
+# enumerated in O(q); each stays under seconds at this size.
 ENUMERATION_LIMIT = 1 << 20
 
 
@@ -165,28 +171,48 @@ def point_neg(p: Point, e: CurveParams) -> Point:
     return Point(p.x, (-p.y) % e.q)
 
 
+# An affine point as a pair of integers (x, y), None for O
+_Pair = Optional[tuple[int, int]]
+
+
+def _affine_add(p: _Pair, r: _Pair, q: int, a: int) -> _Pair:
+    """The chord-and-tangent sum of p and r over F_q, reading only q and a.
+
+    The one definition of the affine group law: point_add unwraps its Points
+    into this, and the point count runs on pairs through it. Inputs need not
+    lie on any particular curve. Two distinct inputs sharing an x with
+    y1 != -y2 lie on no common Weierstrass curve at all; the chord slope is
+    then undefined and the division raises NotInvertibleError.
+    """
+    if p is None:
+        return r
+    if r is None:
+        return p
+    x1, y1 = p
+    x2, y2 = r
+    if x1 == x2 and (y1 + y2) % q == 0:
+        # covers both P + (-P) and doubling a 2-torsion point (vertical tangent)
+        return None
+    if x1 == x2 and y1 == y2:
+        lam = (3 * x1 * x1 + a) * mod_inv(2 * y1 % q, q) % q
+    else:
+        lam = (y2 - y1) * mod_inv((x2 - x1) % q, q) % q
+    x3 = (lam * lam - x1 - x2) % q
+    return x3, (lam * (x1 - x3) - y1) % q
+
+
+def _pair(p: Point) -> _Pair:
+    return None if p.is_infinity else (p.x, p.y)
+
+
 def point_add(p: Point, r: Point, e: CurveParams) -> Point:
     """Group-law sum of p and r, reading only e.q and e.a (never e.b).
 
-    Inputs need not satisfy e's equation. Two distinct inputs sharing an x
-    with y1 != -y2 lie on no common Weierstrass curve at all; the chord slope
-    is then undefined and the division raises NotInvertibleError.
+    Inputs need not satisfy e's equation; _affine_add says what happens
+    then, including when NotInvertibleError is raised.
     """
-    if p.is_infinity:
-        return r
-    if r.is_infinity:
-        return p
-    q = e.q
-    if p.x == r.x and (p.y + r.y) % q == 0:
-        # covers both P + (-P) and doubling a 2-torsion point (vertical tangent)
-        return INFINITY
-    if p.x == r.x and p.y == r.y:
-        lam = (3 * p.x * p.x + e.a) * mod_inv(2 * p.y % q, q) % q
-    else:
-        lam = (r.y - p.y) * mod_inv((r.x - p.x) % q, q) % q
-    x3 = (lam * lam - p.x - r.x) % q
-    y3 = (lam * (p.x - x3) - p.y) % q
-    return Point(x3, y3)
+    s = _affine_add(_pair(p), _pair(r), e.q, e.a)
+    return INFINITY if s is None else Point(*s)
 
 
 # Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); Z == 0 is O.
@@ -667,34 +693,39 @@ def _pinned_order(p: Point, e: CurveParams) -> Optional[int]:
     from y. That t is unique, and so is each m found, only when p's order
     exceeds 2s; a smaller order shows in the baby steps as O, a y of 0 or a
     repeated x, and p is then passed over.
+
+    The baby steps, the step (2s + 1) * p and the giant walk are at most
+    s + 2 + ceil((hi - lo + 1) / (2s + 1)) calls of _affine_add on integer
+    pairs; only the first giant, (lo + s) * p, is a Jacobian double-and-add.
     """
-    q = e.q
+    q, a = e.q, e.a
     bound = isqrt(4 * q)
     lo, hi = q + 1 - bound, q + 1 + bound
     s = isqrt(bound) + 1
+    base = _pair(p)
     baby: dict[int, tuple[int, int]] = {}
-    pt = INFINITY
+    pt = None
     for r in range(1, s + 1):
-        pt = point_add(pt, p, e)
-        if pt.is_infinity or pt.y == 0 or pt.x in baby:
+        pt = _affine_add(pt, base, q, a)
+        if pt is None or pt[1] == 0 or pt[0] in baby:
             return None
-        baby[pt.x] = (r, pt.y)
-    step = point_add(point_add(pt, pt, e), p, e)
-    giant = _double_and_add(lo + s, p, e)
+        baby[pt[0]] = (r, pt[1])
+    step = _affine_add(_affine_add(pt, pt, q, a), base, q, a)
+    giant = _pair(_double_and_add(lo + s, p, e))
     found = None
     for centre in range(lo + s, hi + s + 1, 2 * s + 1):
-        if giant.is_infinity:
+        if giant is None:
             t = 0
-        elif giant.x in baby:
-            r, y = baby[giant.x]
-            t = -r if giant.y == y else r
+        elif giant[0] in baby:
+            r, y = baby[giant[0]]
+            t = -r if giant[1] == y else r
         else:
             t = None
         if t is not None and lo <= centre + t <= hi:
             if found is not None:
                 return None
             found = centre + t
-        giant = point_add(giant, step, e)
+        giant = _affine_add(giant, step, q, a)
     return found
 
 
@@ -717,10 +748,11 @@ def _group_order(q: int, a: int, b: int) -> int:
     Computational Algebraic Number Theory, section 7.4): #E lies in the
     Hasse interval and #E * P == O for every P, so when exactly one m in
     the interval has m * P == O for a point P, #E == m. The first
-    _PIN_POINTS affine points by ascending x are tried, each with about
-    3 q^(1/4) additions and one multiplication by about q. When none pins
-    #E (the group's exponent leaves several multiples in the interval, as
-    on tiny fields), the affine points are enumerated, in O(q).
+    _PIN_POINTS affine points by ascending x are tried by _pinned_order,
+    each with about 3 q^(1/4) additions of integer pairs by _affine_add and
+    one Jacobian double-and-add by about q. When none pins #E (the group's
+    exponent leaves several multiples in the interval, as on tiny fields),
+    the affine points are enumerated, in O(q).
 
     A singular curve has a closed form (Washington, section 2.10). With
     a == 0 it is y^2 = x^3 + b: the cusp y^2 = x^3 for q > 3, and over
@@ -785,6 +817,13 @@ class _CompanionScan:
 
     counted holds (b', N') for every b' counted so far. A prime is answered
     from those first, and the scan resumes at next_b only when none serves.
+
+    When a == 0, y^2 = x^3 + b' and y^2 = x^3 + u^6 b' are isomorphic by
+    (x, y) -> (u^2 x, u^3 y), so N' depends only on the class of b' in
+    F_q* / (F_q*)^6, of which there are twists = gcd(6, q - 1), keyed by
+    b'^((q-1)/twists) (Silverman, The Arithmetic of Elliptic Curves, section
+    X.5). twist_orders holds N' per class: one b' per class is counted, and
+    once every class is, a prime dividing no N' is refused at once.
     """
 
     def __init__(self, e: CurveParams) -> None:
@@ -792,6 +831,8 @@ class _CompanionScan:
         self.counted: list[tuple[int, int]] = []
         self.next_b = 1
         self.found: dict[int, InvalidCurvePoint] = {}
+        self.twists = gcd(6, e.q - 1) if e.a == 0 else None
+        self.twist_orders: dict[int, int] = {}
 
     def _count_next(self) -> bool:
         """Count the next companion curve; False once every b' in [1, q-1] is counted."""
@@ -801,16 +842,29 @@ class _CompanionScan:
             self.next_b += 1
             if b_prime == e.b or is_singular(e.q, e.a, b_prime):
                 continue
-            self.counted.append((b_prime, _group_order(e.q, e.a, b_prime)))
+            if self.twists is None:
+                n_prime = _group_order(e.q, e.a, b_prime)
+            else:
+                twist = pow(b_prime, (e.q - 1) // self.twists, e.q)
+                n_prime = self.twist_orders.get(twist)
+                if n_prime is None:
+                    n_prime = self.twist_orders[twist] = _group_order(e.q, e.a, b_prime)
+            self.counted.append((b_prime, n_prime))
             return True
         return False
+
+    def _rules_out(self, g: int) -> bool:
+        # every twist counted, and g divides none of their orders
+        return len(self.twist_orders) == self.twists and all(
+            n_prime % g for n_prime in self.twist_orders.values()
+        )
 
     def point_of_order(self, g: int) -> InvalidCurvePoint:
         hit = self.found.get(g)
         if hit is not None:
             return hit
         i = 0
-        while i < len(self.counted) or self._count_next():
+        while i < len(self.counted) or (not self._rules_out(g) and self._count_next()):
             b_prime, n_prime = self.counted[i]
             i += 1
             if n_prime % g:
@@ -872,6 +926,9 @@ def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
     Hasse interval): the scan stops at the first b' that serves g, a later
     call resumes it there, and a prime asked for later is first answered
     from the N' already counted. The four curves used last keep their scans.
+    When a == 0, N' is counted once per twist class of b' (at most six) and
+    read for every other b' of the class; once every class is counted, a g
+    that divides none of their orders is refused without scanning further.
 
     When g | N', the curve's points are multiplied, by ascending x, by N'/g
     until one gives a point other than O, which has order g. Such a point

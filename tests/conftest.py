@@ -1,7 +1,8 @@
 """Shared fixtures and references.
 
-The three bundled curves, the bad-parameter files, a cofactor-4 curve, and
-brute-force point lists and counts that the curve module is checked against.
+The three bundled curves, the bad-parameter files, an a = 0 curve, a
+cofactor-4 curve, and brute-force point lists and counts that the curve
+module is checked against.
 """
 
 import json
@@ -43,6 +44,12 @@ def mid16() -> CurveParams:
 @pytest.fixture(scope="session")
 def secp256k1() -> CurveParams:
     return load_curve("secp256k1")
+
+
+@pytest.fixture(scope="session")
+def a0_q55009() -> CurveParams:
+    """y^2 = x^3 + 38070 over F_55009, prime order 54541; six twist classes of b'."""
+    return load_bad_fixture("a0_q55009")
 
 
 def character_sum(q, a, b):

@@ -23,6 +23,7 @@ from hlslab.attacks import (
 )
 from hlslab.curve import INFINITY, Point, find_invalid_curve_point, scalar_mul
 from hlslab.errors import (
+    InvalidEphemeralKeyError,
     MismatchedLeakError,
     NotInvertibleError,
     OracleRefusedError,
@@ -39,7 +40,7 @@ from hlslab.hls import (
 )
 from hlslab.pki import CAPolicy, CertificateAuthority
 from hlslab.primitives import derive_key
-from hlslab.scenarios import default_g_budget, make_decryptor
+from hlslab.scenarios import default_g_budget, make_decryptor, run_invalid_curve
 
 NOW = 1_700_000_000
 
@@ -255,6 +256,41 @@ class TestInvalidCurveAttack:
         assert report.success
         assert report.recovered["d_B"] == bob.d
         assert report.oracle_queries == len(budget)
+
+    def test_a0_curve_recovered_through_the_x0_collision(self, a0_q55009):
+        # the g = 3 point has x = 0, whose vulnerable key is O's: the round
+        # matches at j = 0 whatever d_B mod 3 is, and every j stays an option
+        e = a0_q55009
+        budget = default_g_budget(e)
+        w = find_invalid_curve_point(e, 3).point
+        assert w.x == 0
+        for seed in range(1, 21):
+            report = run_invalid_curve(e, Mode.VULNERABLE, Random(seed))
+            # the scenario draws Alice's key pair, then Bob's
+            rng = Random(seed)
+            gen(e, rng)
+            assert report.success, seed
+            assert report.recovered["d_B"] == gen(e, rng).d
+            assert report.oracle_queries == len(budget)
+            assert "g=3: d_B == +-0 (mod 3) after 1 trials (bound 2)" in report.transcript
+            assert [line for line in report.transcript if "x = 0" in line] == [
+                "g=3: j*W has x = 0 for j in [1], whose key is that of j = 0;"
+                " d_B == +-j (mod 3) for those j kept as options"
+            ]
+
+    def test_a0_curve_hardened_refuses_every_round(self, a0_q55009):
+        e = a0_q55009
+        budget = default_g_budget(e)
+        report = run_invalid_curve(e, Mode.HARDENED, Random(1))
+        assert not report.success
+        assert report.oracle_queries == len(budget)
+        assert sum("oracle refused" in line for line in report.transcript) == len(budget)
+        bob, alice = gen(e, Random(2)), gen(e, Random(3))
+        oracle = confirm_oracle_for(bob, alice.pub, e, ConfirmPolicy.HARDENED)
+        for g in budget:
+            crafted = SigncryptedText(b"c" * 16, find_invalid_curve_point(e, g).point, 1)
+            with pytest.raises(InvalidEphemeralKeyError):
+                oracle(crafted, b"c")
 
     @pytest.mark.parametrize("name,budget", [("toy", [3, 7]), ("mid16", None)])
     def test_mirrored_candidate_derives_the_same_key(self, request, name, budget):

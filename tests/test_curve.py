@@ -5,11 +5,19 @@ by an independent script using repeated schoolbook addition, then frozen here.
 """
 
 import dataclasses
+import math
 from random import Random
 
 import pytest
 
-from conftest import HOST_20, character_sum, load_bad_fixture, outcome, sum_outcomes
+from conftest import (
+    HOST_20,
+    affine_points,
+    character_sum,
+    load_bad_fixture,
+    outcome,
+    sum_outcomes,
+)
 import hlslab.curve as curve_module
 from hlslab.curve import (
     _double_and_add,
@@ -19,6 +27,7 @@ from hlslab.curve import (
     _group_order,
     _jacobian_add_affine,
     _odd_multiples,
+    _pinned_order,
     _square_root,
     ENUMERATION_LIMIT,
     INFINITY,
@@ -147,6 +156,14 @@ class TestGroupLaw:
             for j in range(1, 19):
                 r = Point(*TOY_MULTIPLES[j])
                 assert point_add(p, r, toy) == point_add(p, r, other_b)
+
+    def test_point_add_equals_reference_on_every_pair_over_f17(self, toy):
+        # the law is defined on any two pairs, off-curve ones included
+        points = [INFINITY] + [Point(x, y) for x in range(17) for y in range(17)]
+        for p in points:
+            for r in points:
+                expected = add_outcome(reference_add, p, r, toy)
+                assert add_outcome(point_add, p, r, toy) == expected, (p, r)
 
     def test_scalar_mul_k_beyond_n_wraps_around(self, toy):
         assert scalar_mul(20, toy.g, toy) == toy.g
@@ -277,6 +294,34 @@ class TestCountPoints:
         assert type(info.value) is HlsLabError
 
 
+def reference_add(p, r, e):
+    """Textbook affine sum, every slope divided by Fermat inversion (q prime)."""
+    if p.is_infinity:
+        return r
+    if r.is_infinity:
+        return p
+    q = e.q
+    if p.x == r.x and (p.y + r.y) % q == 0:
+        return INFINITY
+    if p.x == r.x and p.y != r.y:
+        raise NotInvertibleError("no chord through two points sharing x")
+    if p.x == r.x:
+        num, den = 3 * p.x * p.x + e.a, 2 * p.y
+    else:
+        num, den = r.y - p.y, r.x - p.x
+    lam = num * pow(den, q - 2, q) % q
+    x3 = (lam * lam - p.x - r.x) % q
+    return Point(x3, (lam * (p.x - x3) - p.y) % q)
+
+
+def add_outcome(add, p, r, e):
+    """add(p, r, e), or the type of what it raised."""
+    try:
+        return add(p, r, e)
+    except Exception as exc:
+        return type(exc)
+
+
 # 2^8, 2^1, 2^2 and 2^4 exactly divide q - 1, so that Tonelli-Shanks runs
 # with no, one and several steps of its loop
 SQRT_PRIMES = [257, 263, 269, 337]
@@ -289,6 +334,40 @@ class TestGroupOrder:
             for b in range(q):
                 if not is_singular(q, a, b):
                     assert _group_order(q, a, b) == character_sum(q, a, b), (q, a, b)
+
+    @pytest.mark.parametrize("q", [5, 7, 11, 13, 17, 23])
+    def test_pinned_order_is_none_or_the_group_order(self, q):
+        # both points of every x of every nonsingular curve over F_q; a point
+        # of order at most 2s (s baby steps) is always passed over
+        s = math.isqrt(math.isqrt(4 * q)) + 1
+        pinned = 0
+        for a in range(q):
+            for b in range(q):
+                if is_singular(q, a, b):
+                    continue
+                e = CurveParams(q, a, b, INFINITY, 1)
+                order = character_sum(q, a, b)
+                for p in affine_points(q, a, b):
+                    for pt in {p, Point(p.x, -p.y % q)}:
+                        m = _pinned_order(pt, e)
+                        assert m in (None, order), (q, a, b, pt)
+                        acc = pt
+                        for _ in range(2 * s - 1):
+                            acc = point_add(acc, pt, e)
+                            if acc.is_infinity:
+                                assert m is None, (q, a, b, pt)
+                                break
+                        pinned += m is not None
+        assert pinned > 0
+
+    def test_one_count_takes_order_q_to_the_quarter_kernel_additions(self, monkeypatch, mid16):
+        # s baby steps, the step (2s + 1) * P and one giant step per centre;
+        # the first giant is a Jacobian double-and-add, not the kernel
+        adds = _count_calls(monkeypatch, "_affine_add")
+        assert _group_order.__wrapped__(mid16.q, mid16.a, mid16.b) == mid16.n
+        q = mid16.q
+        s = math.isqrt(math.isqrt(4 * q)) + 1
+        assert s < len(adds) <= 2 * s + -(-math.isqrt(16 * q) // (2 * s + 1)) + 3
 
     def test_falls_back_on_toy17(self, monkeypatch, toy):
         # every point of these six companion curves has order 11 or 12, of
@@ -418,6 +497,33 @@ class TestCompanionScan:
         enumerated = _count_calls(monkeypatch, "_enumerated_order")
         assert default_g_budget(POOL_60427) == [g for g, *_ in PINNED_COMPANIONS["pool_60427"]]
         assert enumerated == []
+
+    def test_a0_cold_budget_counts_one_curve_per_twist(self, monkeypatch, a0_q55009):
+        # counting every b' took 55,007 counts for these six orders
+        curve_module._companion_scan.cache_clear()
+        orders = _count_calls(monkeypatch, "_group_order")
+        assert default_g_budget(a0_q55009) == [3, 7, 13, 19, 163]
+        assert len(orders) <= 6
+
+    def test_a0_prime_dividing_no_twist_order_is_refused_at_once(self, monkeypatch, a0_q55009):
+        curve_module._companion_scan.cache_clear()
+        default_g_budget(a0_q55009)
+        scan = curve_module._companion_scan(a0_q55009)
+        next_b = scan.next_b
+        orders = _count_calls(monkeypatch, "_group_order")
+        with pytest.raises(NotFoundError):
+            find_invalid_curve_point(a0_q55009, 5)
+        assert (orders, scan.next_b) == ([], next_b) and next_b < 100
+
+    @pytest.mark.parametrize("q", [97, 101, 103, 107])
+    def test_a0_twist_class_fixes_the_order(self, q):
+        # b' and u^6 b' give isomorphic curves; gcd(6, q - 1) is 6, 2, 6, 2 here
+        twists = math.gcd(6, q - 1)
+        orders = {}
+        for b in range(1, q):
+            orders.setdefault(pow(b, (q - 1) // twists, q), set()).add(character_sum(q, 0, b))
+        assert len(orders) == twists
+        assert all(len(n) == 1 for n in orders.values())
 
     def test_non_cyclic_part_is_probed_not_walked(self, monkeypatch):
         # walking every point of the Z/3 x Z/3 curve took 21,037 multiplications
