@@ -1,15 +1,15 @@
 """Short-Weierstrass elliptic-curve arithmetic over prime fields, desk scale.
 
-The affine chord-and-tangent law, and the Jacobian doubling and mixed
-addition behind scalar_mul, read only the field size q and the coefficient
-a. They never consult b. That is a real property of the group law, and it
-is load-bearing here: a point that satisfies y^2 = x^3 + ax + b' for some
-b' != b will be processed by these same formulas, silently moving the
-computation into the group of the wrong curve. Keep it that way.
-
-The affine law is written once, as a kernel on integer pairs (x, y) with
-None for O. point_add is that kernel between Point wrappers, and the point
-count runs on pairs through it, building no Point per addition.
+The group law never reads b, and that is load-bearing here: a point of
+y^2 = x^3 + ax + b' for some b' != b is processed by the same formulas,
+silently moving the computation into the group of the wrong curve. The
+signatures show it. The group law (written once, as _affine_add, whose
+shared-x rules the Jacobian formulas follow), the multiplications, their
+tables and the point count are private functions of the field size q, the
+coefficient a and affine points as integer pairs (x, y), None for O; only
+the count is also given b, to find the points it counts. Only point_add,
+scalar_mul, scalar_mul_sum, find_invalid_curve_point and
+search_prime_order_curve wrap and unwrap Points. Keep it that way.
 
 scalar_mul has two paths (see its docstring), and one proof, made once per
 curve, picks between them. When q is prime, e is nonsingular, G != O lies on
@@ -59,7 +59,7 @@ from functools import lru_cache
 from itertools import islice
 from math import gcd, isqrt
 from random import Random
-from typing import Optional
+from typing import Iterator, Optional
 
 from .arith import hex_to_int, int_to_hex, is_probable_prime, mod_inv, require_keys
 from .errors import HlsLabError, NotFoundError, NotInvertibleError, ResourceLimitError
@@ -171,18 +171,20 @@ def point_neg(p: Point, e: CurveParams) -> Point:
     return Point(p.x, (-p.y) % e.q)
 
 
-# An affine point as a pair of integers (x, y), None for O
-_Pair = Optional[tuple[int, int]]
+# An affine point as a pair of integers (x, y), and the same with None for O
+_Affine = tuple[int, int]
+_Pair = Optional[_Affine]
+# Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); Z == 0 is O.
+_Jacobian = tuple[int, int, int]
+_JACOBIAN_INFINITY = (1, 1, 0)
 
 
 def _affine_add(p: _Pair, r: _Pair, q: int, a: int) -> _Pair:
-    """The chord-and-tangent sum of p and r over F_q, reading only q and a.
+    """The chord-and-tangent sum of p and r over F_q: the one affine group law.
 
-    The one definition of the affine group law: point_add unwraps its Points
-    into this, and the point count runs on pairs through it. Inputs need not
-    lie on any particular curve. Two distinct inputs sharing an x with
-    y1 != -y2 lie on no common Weierstrass curve at all; the chord slope is
-    then undefined and the division raises NotInvertibleError.
+    Inputs need not lie on any particular curve. Two distinct inputs sharing
+    an x with y1 != -y2 lie on no common Weierstrass curve at all; the chord
+    slope is then undefined and the division raises NotInvertibleError.
     """
     if p is None:
         return r
@@ -205,61 +207,57 @@ def _pair(p: Point) -> _Pair:
     return None if p.is_infinity else (p.x, p.y)
 
 
+def _from_pair(s: _Pair) -> Point:
+    return INFINITY if s is None else Point(*s)
+
+
 def point_add(p: Point, r: Point, e: CurveParams) -> Point:
     """Group-law sum of p and r, reading only e.q and e.a (never e.b).
 
     Inputs need not satisfy e's equation; _affine_add says what happens
     then, including when NotInvertibleError is raised.
     """
-    s = _affine_add(_pair(p), _pair(r), e.q, e.a)
-    return INFINITY if s is None else Point(*s)
+    return _from_pair(_affine_add(_pair(p), _pair(r), e.q, e.a))
 
 
-# Jacobian (X, Y, Z) stands for the affine point (X/Z^2, Y/Z^3); Z == 0 is O.
-_JACOBIAN_INFINITY = (1, 1, 0)
-
-
-def _jacobian_double(pt: tuple[int, int, int], e: CurveParams) -> tuple[int, int, int]:
-    """2*pt in Jacobian coordinates (EFD dbl-1998-cmo-2), reading e.q and e.a only."""
+def _jacobian_double(pt: _Jacobian, q: int, a: int) -> _Jacobian:
+    """2*pt in Jacobian coordinates over F_q (EFD dbl-1998-cmo-2)."""
     x, y, z = pt
     if z == 0 or y == 0:
         # O doubles to O, and a point with Y = 0 has a vertical tangent
         return _JACOBIAN_INFINITY
-    q = e.q
     yy = y * y % q
     s = 4 * x * yy % q
-    if e.a == 0:
+    if a == 0:
         m = 3 * x * x % q
     else:
         zz = z * z % q
-        m = (3 * x * x + e.a * zz * zz) % q
+        m = (3 * x * x + a * zz * zz) % q
     x3 = (m * m - 2 * s) % q
     y3 = (m * (s - x3) - 8 * yy * yy) % q
     return x3, y3, 2 * y * z % q
 
 
-def _jacobian_add_affine(
-    pt: tuple[int, int, int], p: Point, e: CurveParams
-) -> tuple[int, int, int]:
-    """pt + p for Jacobian pt and affine p != O (EFD madd-2004-hmv).
+def _jacobian_add_affine(pt: _Jacobian, p: _Affine, q: int, a: int) -> _Jacobian:
+    """pt + p over F_q for Jacobian pt and affine p != O (EFD madd-2004-hmv).
 
-    Reads e.q, and e.a only through the doubling. Shared x (H = 0) is
-    decided as affine point_add decides it: equal y is a doubling, opposite
-    y gives O, and any other y lies on no common curve with pt, so the chord
-    slope is undefined and NotInvertibleError is raised.
+    a is read only by the doubling. Shared x (H = 0) is decided as
+    _affine_add decides it: equal y is a doubling, opposite y gives O, and
+    any other y lies on no common curve with pt, so the chord slope is
+    undefined and NotInvertibleError is raised.
     """
     x1, y1, z1 = pt
+    x2, y2 = p
     if z1 == 0:
-        return p.x % e.q, p.y % e.q, 1
-    q = e.q
+        return x2 % q, y2 % q, 1
     z1z1 = z1 * z1 % q
-    u2 = p.x * z1z1 % q
-    s2 = p.y * z1 * z1z1 % q
+    u2 = x2 * z1z1 % q
+    s2 = y2 * z1 * z1z1 % q
     h = (u2 - x1) % q
     r = (s2 - y1) % q
     if h == 0:
         if r == 0:
-            return _jacobian_double(pt, e)
+            return _jacobian_double(pt, q, a)
         if (s2 + y1) % q == 0:
             return _JACOBIAN_INFINITY
         raise NotInvertibleError(f"points share x but not y up to sign; no chord mod {q}")
@@ -271,18 +269,18 @@ def _jacobian_add_affine(
     return x3, y3, z1 * h % q
 
 
-def _scaled(x: int, y: int, z_inv: int, q: int) -> Point:
+def _scaled(x: int, y: int, z_inv: int, q: int) -> _Affine:
     # the affine point (X/Z^2, Y/Z^3), given 1/Z
     z_inv2 = z_inv * z_inv % q
-    return Point(x * z_inv2 % q, y * z_inv2 * z_inv % q)
+    return x * z_inv2 % q, y * z_inv2 * z_inv % q
 
 
-def _to_affine(pt: tuple[int, int, int], q: int) -> Point:
+def _to_affine(pt: _Jacobian, q: int) -> _Pair:
     x, y, z = pt
-    return INFINITY if z == 0 else _scaled(x, y, mod_inv(z, q), q)
+    return None if z == 0 else _scaled(x, y, mod_inv(z, q), q)
 
 
-def _batch_to_affine(pts: list[tuple[int, int, int]], q: int) -> list[Optional[Point]]:
+def _batch_to_affine(pts: list[_Jacobian], q: int) -> list[_Pair]:
     """Affine form of every Jacobian point, None for O, with one field inversion.
 
     Montgomery's trick: invert the product of all nonzero Z once, then peel
@@ -306,7 +304,7 @@ def _batch_to_affine(pts: list[tuple[int, int, int]], q: int) -> list[Optional[P
 # Bits per digit of k in the fixed-base table for G, and the largest digit.
 _WINDOW = 4
 _DIGIT_MAX = (1 << _WINDOW) - 1
-_Table = tuple[tuple[Optional[Point], ...], ...]
+_Table = tuple[tuple[_Pair, ...], ...]
 # (beta, lambda, ((a1, b1), (a2, b2))): phi(x, y) = (beta * x, y) acts on
 # E(F_q) as multiplication by lambda, and a_i + b_i * lambda == 0 mod n
 _Basis = tuple[tuple[int, int], tuple[int, int]]
@@ -349,17 +347,17 @@ def _group(e: CurveParams) -> Optional[_Group]:
         is_probable_prime(q)
         and 2 * n > q + 1 + isqrt(4 * q)
         and is_probable_prime(n)
-        and _double_and_add(n, g, e).is_infinity
+        and _double_and_add(n, _pair(g), q, e.a) is None
     ):
         return None
     table = _fixed_base_table(e)
     if not (e.a == 0 and q % 3 == 1 and n % 3 == 1):
         return _Group(table)
     beta = _cube_root_of_unity(q)
-    phi_g = Point(beta * g.x % q, g.y)
+    phi_g = (beta * g.x % q, g.y)
     w = _cube_root_of_unity(n)
     for lam in (w, w * w % n):
-        if _fixed_base_mul(lam, table, e) == phi_g:
+        if _fixed_base_mul(lam, table, q, e.a) == phi_g:
             return _Group(table, (beta, lam, _short_basis(n, lam)))
     return _Group(table)
 
@@ -376,19 +374,19 @@ def _fixed_base_table(e: CurveParams) -> _Table:
     and an entry is O only when n <= 15 divides j. Then the table has one
     row and k < n, so _fixed_base_mul never reads such an entry.
     """
-    q = e.q
+    q, a = e.q, e.a
     rows = -(-e.n.bit_length() // _WINDOW)
-    bases = [_jacobian_add_affine(_JACOBIAN_INFINITY, e.g, e)]
+    bases = [_jacobian_add_affine(_JACOBIAN_INFINITY, _pair(e.g), q, a)]
     for _ in range(rows - 1):
         pt = bases[-1]
         for _ in range(_WINDOW):
-            pt = _jacobian_double(pt, e)
+            pt = _jacobian_double(pt, q, a)
         bases.append(pt)
     entries = []
     for base in _batch_to_affine(bases, q):
         pt = _JACOBIAN_INFINITY
         for _ in range(_DIGIT_MAX):
-            pt = _jacobian_add_affine(pt, base, e)
+            pt = _jacobian_add_affine(pt, base, q, a)
             entries.append(pt)
     affine = _batch_to_affine(entries, q)
     return tuple(tuple(affine[i : i + _DIGIT_MAX]) for i in range(0, len(affine), _DIGIT_MAX))
@@ -437,7 +435,7 @@ def _glv_split(k: int, n: int, basis: _Basis) -> tuple[int, int]:
 # The GLV path's table of odd multiples of a point holds P, 3P, ..., 15P,
 # then -15P, ..., -3P, -P, so that a width-5 NAF digit d reads entry d >> 1
 _ODD_MULTIPLES = 8
-_OddTable = tuple[Optional[Point], ...]
+_OddTable = tuple[_Pair, ...]
 
 
 def _wnaf(k: int) -> list[int]:
@@ -461,63 +459,62 @@ def _wnaf(k: int) -> list[int]:
 
 
 @lru_cache(maxsize=32)
-def _odd_multiples(p: Point, e: CurveParams) -> tuple[_OddTable, _OddTable]:
-    """The odd-multiple tables of p and of phi(p) = (beta * x, y), for p on e.
+def _odd_multiples(p: _Affine, q: int, beta: int) -> tuple[_OddTable, _OddTable]:
+    """The odd-multiple tables of p and of phi(p) = (beta * x, y) over F_q.
 
-    e's group is proven cyclic of prime order n and has GLV constants, and
-    p != O lies on e. Built with one affine doubling, 7 mixed additions of
-    2p and one batched inversion; phi(p)'s table is p's with every x times
-    beta. An entry is O (None) only when n <= 15 divides its multiple; the
-    two such curves with GLV constants (q == 7, n == 7 or 13) split every
-    k < n into halves of -1, 0 and 1, so no digit ever reads one.
+    p != O lies on a curve with GLV constants (so a == 0) and beta, whose
+    group is proven cyclic of prime order n. Built with one affine doubling,
+    7 mixed additions of 2p and one batched inversion; phi(p)'s table is p's
+    with every x times beta. An entry is O (None) only when n <= 15 divides
+    its multiple; the two such curves with GLV constants (q == 7, n == 7 or
+    13) split every k < n into halves of -1, 0 and 1, so no digit reads one.
     """
-    q = e.q
-    beta = _group(e).glv[0]
-    p = Point(p.x % q, p.y % q)
-    two_p = point_add(p, p, e)
-    chain = [(p.x, p.y, 1)]
+    p = (p[0] % q, p[1] % q)
+    two_p = _affine_add(p, p, q, 0)
+    chain = [(*p, 1)]
     for _ in range(_ODD_MULTIPLES - 1):
-        chain.append(_jacobian_add_affine(chain[-1], two_p, e))
+        chain.append(_jacobian_add_affine(chain[-1], two_p, q, 0))
     odd = _batch_to_affine(chain, q)
-    table = odd + [None if m is None else point_neg(m, e) for m in reversed(odd)]
-    phi = [None if m is None else Point(beta * m.x % q, m.y) for m in table]
+    table = odd + [None if m is None else (m[0], -m[1] % q) for m in reversed(odd)]
+    phi = [None if m is None else (beta * m[0] % q, m[1]) for m in table]
     return tuple(table), tuple(phi)
 
 
-def _glv_mul(terms: tuple[tuple[int, Point], ...], glv: _Glv, e: CurveParams) -> Point:
+def _glv_mul(terms: tuple[tuple[int, _Affine], ...], glv: _Glv, n: int, q: int) -> _Pair:
     """The sum of k * p over terms, by one interleaved width-5 NAF chain.
 
-    Every p lies on e, whose group _group has proven, and every k is in
-    [0, n). Each k is split as k1 + k2 * lam (Gallant, Lambert and
-    Vanstone, CRYPTO 2001), so k * p == k1 * p + k2 * phi(p) with |k1|,
-    |k2| about sqrt(n). The halves of every term are recoded in width-5
-    NAF and walked together from the top digit (Moeller, "Algorithms for
-    multi-exponentiation", SAC 2001): one chain of about log2(n) / 2
-    doublings, and one mixed addition of a table entry per nonzero digit,
-    about one in six. Signs live in the digits. Every point involved is on
-    e, so an addition that meets its own operand doubles and one that meets
-    its negation gives O, as the group law does.
+    Every p lies on the a == 0 curve over F_q whose group _group has proven
+    cyclic of prime order n, and every k is in [0, n). Each k is split as
+    k1 + k2 * lam (Gallant, Lambert and Vanstone, CRYPTO 2001), so
+    k * p == k1 * p + k2 * phi(p) with |k1|, |k2| about sqrt(n). The halves
+    of every term are recoded in width-5 NAF and walked together from the
+    top digit (Moeller, "Algorithms for multi-exponentiation", SAC 2001):
+    one chain of about log2(n) / 2 doublings, and one mixed addition of a
+    table entry per nonzero digit, about one in six. Signs live in the
+    digits. Every point involved is on that curve, so an addition that meets
+    its own operand doubles and one that meets its negation gives O, as the
+    group law does.
     """
-    _, _, basis = glv
+    beta, _, basis = glv
     pieces = []
     for k, p in terms:
-        table, phi_table = _odd_multiples(p, e)
-        k1, k2 = _glv_split(k, e.n, basis)
+        table, phi_table = _odd_multiples(p, q, beta)
+        k1, k2 = _glv_split(k, n, basis)
         pieces += [(_wnaf(k1), table), (_wnaf(k2), phi_table)]
-    addends: list[list[Point]] = [[] for _ in range(max(len(d) for d, _ in pieces))]
+    addends: list[list[_Affine]] = [[] for _ in range(max(len(d) for d, _ in pieces))]
     for digits, table in pieces:
         for i, d in enumerate(digits):
             if d:
                 addends[i].append(table[d >> 1])
     acc = _JACOBIAN_INFINITY
     for row in reversed(addends):
-        acc = _jacobian_double(acc, e)
+        acc = _jacobian_double(acc, q, 0)
         for m in row:
-            acc = _jacobian_add_affine(acc, m, e)
-    return _to_affine(acc, e.q)
+            acc = _jacobian_add_affine(acc, m, q, 0)
+    return _to_affine(acc, q)
 
 
-def _fixed_base_mul(k: int, table: _Table, e: CurveParams) -> Point:
+def _fixed_base_mul(k: int, table: _Table, q: int, a: int) -> _Pair:
     # one table entry per nonzero digit of k < n, summed by mixed addition
     acc = _JACOBIAN_INFINITY
     for row in table:
@@ -525,19 +522,19 @@ def _fixed_base_mul(k: int, table: _Table, e: CurveParams) -> Point:
             break
         digit = k & _DIGIT_MAX
         if digit:
-            acc = _jacobian_add_affine(acc, row[digit - 1], e)
+            acc = _jacobian_add_affine(acc, row[digit - 1], q, a)
         k >>= _WINDOW
-    return _to_affine(acc, e.q)
+    return _to_affine(acc, q)
 
 
-def _double_and_add(k: int, p: Point, e: CurveParams) -> Point:
+def _double_and_add(k: int, p: _Affine, q: int, a: int) -> _Pair:
     # k >= 1 and p != O
-    acc = _jacobian_add_affine(_JACOBIAN_INFINITY, p, e)
+    acc = _jacobian_add_affine(_JACOBIAN_INFINITY, p, q, a)
     for bit in bin(k)[3:]:
-        acc = _jacobian_double(acc, e)
+        acc = _jacobian_double(acc, q, a)
         if bit == "1":
-            acc = _jacobian_add_affine(acc, p, e)
-    return _to_affine(acc, e.q)
+            acc = _jacobian_add_affine(acc, p, q, a)
+    return _to_affine(acc, q)
 
 
 def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
@@ -584,7 +581,7 @@ def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
         # the proof tests that G lies on e
         group = _group(e)
         if group is not None:
-            return _fixed_base_mul(k % e.n, group.table, e)
+            return _from_pair(_fixed_base_mul(k % e.n, group.table, e.q, e.a))
     # for any other point, reducing k changes the work only when k >= n,
     # and splitting it needs a == 0; every other k skips both checks
     elif (k >= e.n or e.a == 0) and is_on_curve(p, e):
@@ -594,8 +591,8 @@ def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
             if k == 0:
                 return INFINITY
             if group.glv is not None:
-                return _glv_mul(((k, p),), group.glv, e)
-    return _double_and_add(k, p, e)
+                return _from_pair(_glv_mul(((k, _pair(p)),), group.glv, e.n, e.q))
+    return _from_pair(_double_and_add(k, _pair(p), e.q, e.a))
 
 
 def scalar_mul_sum(j: int, k: int, p: Point, e: CurveParams) -> Point:
@@ -614,7 +611,8 @@ def scalar_mul_sum(j: int, k: int, p: Point, e: CurveParams) -> Point:
     if e.a == 0 and j >= 0 and k >= 0 and not p.is_infinity and is_on_curve(p, e):
         group = _group(e)
         if group is not None and group.glv is not None:
-            return _glv_mul(((j % e.n, e.g), (k % e.n, p)), group.glv, e)
+            terms = ((j % e.n, _pair(e.g)), (k % e.n, _pair(p)))
+            return _from_pair(_glv_mul(terms, group.glv, e.n, e.q))
     return point_add(scalar_mul(j, e.g, e), scalar_mul(k, p, e), e)
 
 
@@ -671,7 +669,7 @@ def _square_root(t: int, q: int) -> Optional[int]:
     return min(r, q - r)
 
 
-def _affine_points(q: int, a: int, b: int):
+def _affine_points(q: int, a: int, b: int) -> Iterator[_Affine]:
     """One affine point (x, y) of y^2 = x^3 + ax + b over F_q per x that has one, by ascending x.
 
     q is an odd prime, and y is the root in [0, q//2] that _square_root gives.
@@ -679,39 +677,37 @@ def _affine_points(q: int, a: int, b: int):
     for x in range(q):
         y = _square_root((x * x * x + a * x + b) % q, q)
         if y is not None:
-            yield Point(x, y)
+            yield x, y
 
 
-def _pinned_order(p: Point, e: CurveParams) -> Optional[int]:
+def _pinned_order(p: _Affine, q: int, a: int) -> Optional[int]:
     """The one m in the Hasse interval with m * p == O, or None when p leaves several.
 
-    p is an affine point of e over a prime field. The interval is [lo, hi]
-    = q + 1 -+ floor(2 sqrt q). Baby steps store r * p by x for r = 1..s.
-    Each m in the interval is c + t for one centre c = lo + s + i(2s + 1)
-    and one t in [-s, s], and m * p == O exactly when the giant step c * p
-    is -t * p: O for t == 0, else a baby step's x, with the sign of t read
-    from y. That t is unique, and so is each m found, only when p's order
-    exceeds 2s; a smaller order shows in the baby steps as O, a y of 0 or a
-    repeated x, and p is then passed over.
+    p is an affine point of y^2 = x^3 + ax + b over F_q, q prime, for any
+    b. The interval is [lo, hi] = q + 1 -+ floor(2 sqrt q). Baby steps store
+    r * p by x for r = 1..s. Each m in the interval is c + t for one centre
+    c = lo + s + i(2s + 1) and one t in [-s, s], and m * p == O exactly when
+    the giant step c * p is -t * p: O for t == 0, else a baby step's x, with
+    the sign of t read from y. That t is unique, and so is each m found, only
+    when p's order exceeds 2s; a smaller order shows in the baby steps as O,
+    a y of 0 or a repeated x, and p is then passed over.
 
     The baby steps, the step (2s + 1) * p and the giant walk are at most
     s + 2 + ceil((hi - lo + 1) / (2s + 1)) calls of _affine_add on integer
     pairs; only the first giant, (lo + s) * p, is a Jacobian double-and-add.
     """
-    q, a = e.q, e.a
     bound = isqrt(4 * q)
     lo, hi = q + 1 - bound, q + 1 + bound
     s = isqrt(bound) + 1
-    base = _pair(p)
     baby: dict[int, tuple[int, int]] = {}
     pt = None
     for r in range(1, s + 1):
-        pt = _affine_add(pt, base, q, a)
+        pt = _affine_add(pt, p, q, a)
         if pt is None or pt[1] == 0 or pt[0] in baby:
             return None
         baby[pt[0]] = (r, pt[1])
-    step = _affine_add(_affine_add(pt, pt, q, a), base, q, a)
-    giant = _pair(_double_and_add(lo + s, p, e))
+    step = _affine_add(_affine_add(pt, pt, q, a), p, q, a)
+    giant = _double_and_add(lo + s, p, q, a)
     found = None
     for centre in range(lo + s, hi + s + 1, 2 * s + 1):
         if giant is None:
@@ -731,7 +727,7 @@ def _pinned_order(p: Point, e: CurveParams) -> Optional[int]:
 
 def _enumerated_order(q: int, a: int, b: int) -> int:
     # O plus both points (x, +-y) of every affine point found, one if y == 0
-    return 1 + sum(1 if p.y == 0 else 2 for p in _affine_points(q, a, b))
+    return 1 + sum(1 if y == 0 else 2 for _, y in _affine_points(q, a, b))
 
 
 # Points of a curve tried, by ascending x, before its points are enumerated
@@ -748,11 +744,11 @@ def _group_order(q: int, a: int, b: int) -> int:
     Computational Algebraic Number Theory, section 7.4): #E lies in the
     Hasse interval and #E * P == O for every P, so when exactly one m in
     the interval has m * P == O for a point P, #E == m. The first
-    _PIN_POINTS affine points by ascending x are tried by _pinned_order,
-    each with about 3 q^(1/4) additions of integer pairs by _affine_add and
-    one Jacobian double-and-add by about q. When none pins #E (the group's
-    exponent leaves several multiples in the interval, as on tiny fields),
-    the affine points are enumerated, in O(q).
+    _PIN_POINTS affine points by ascending x are tried by _pinned_order on
+    (q, a) and integer pairs, each with about 3 q^(1/4) additions by
+    _affine_add and one double-and-add by about q; b only finds the points.
+    When none pins #E (the group's exponent leaves several multiples in the
+    interval, as on tiny fields), the affine points are enumerated, in O(q).
 
     A singular curve has a closed form (Washington, section 2.10). With
     a == 0 it is y^2 = x^3 + b: the cusp y^2 = x^3 for q > 3, and over
@@ -765,9 +761,8 @@ def _group_order(q: int, a: int, b: int) -> int:
             return q + 1
         alpha = -3 * b * mod_inv(2 * a, q)
         return q if pow(3 * alpha, (q - 1) // 2, q) == 1 else q + 2
-    e = CurveParams(q, a % q, b % q, INFINITY, 1)
     for p in islice(_affine_points(q, a, b), _PIN_POINTS):
-        m = _pinned_order(p, e)
+        m = _pinned_order(p, q, a)
         if m is not None:
             return m
     return _enumerated_order(q, a, b)
@@ -854,9 +849,13 @@ class _CompanionScan:
         return False
 
     def _rules_out(self, g: int) -> bool:
-        # every twist counted, and g divides none of their orders
-        return len(self.twist_orders) == self.twists and all(
-            n_prime % g for n_prime in self.twist_orders.values()
+        # no multiple of g lies in the Hasse interval, which holds every
+        # nonsingular N', or every twist is counted and g divides none of
+        # their orders
+        q, bound = self.e.q, isqrt(4 * self.e.q)
+        return (q + 1 + bound) // g * g < q + 1 - bound or (
+            len(self.twist_orders) == self.twists
+            and all(n_prime % g for n_prime in self.twist_orders.values())
         )
 
     def point_of_order(self, g: int) -> InvalidCurvePoint:
@@ -871,11 +870,11 @@ class _CompanionScan:
                 continue
             w = self._point(b_prime, n_prime, g)
             if w is not None:
-                self.found[g] = InvalidCurvePoint(b_prime=b_prime, point=w, order=g)
+                self.found[g] = InvalidCurvePoint(b_prime=b_prime, point=_from_pair(w), order=g)
                 return self.found[g]
         raise NotFoundError(f"no companion curve over F_{self.e.q} has a subgroup of order {g}")
 
-    def _point(self, b_prime: int, n_prime: int, g: int) -> Optional[Point]:
+    def _point(self, b_prime: int, n_prime: int, g: int) -> _Pair:
         """The first (N'/g) * P != O over the b' curve's points P by ascending x, or None."""
         e = self.e
         k = n_prime // g
@@ -884,9 +883,9 @@ class _CompanionScan:
         if (e.q - 1) % g == 0 and n_prime % (g * g) == 0 and not self._probe(b_prime, k):
             return None
         for p in _affine_points(e.q, e.a, b_prime):
-            w = scalar_mul(k, p, e)
+            w = _double_and_add(k, p, e.q, e.a)
             # g is prime, so w != O has order exactly g
-            if not w.is_infinity:
+            if w is not None:
                 return w
         return None
 
@@ -903,7 +902,7 @@ class _CompanionScan:
             # likely; P and -P give O together, so which root is taken is moot
             if y is None or (y == 0 and rng.getrandbits(1)):
                 continue
-            if not scalar_mul(k, Point(x, y), e).is_infinity:
+            if _double_and_add(k, (x, y), e.q, e.a) is not None:
                 return True
             probes += 1
             if probes == _PROBES:
@@ -929,6 +928,8 @@ def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
     When a == 0, N' is counted once per twist class of b' (at most six) and
     read for every other b' of the class; once every class is counted, a g
     that divides none of their orders is refused without scanning further.
+    A g with no multiple in the Hasse interval q + 1 -+ floor(2 sqrt q),
+    such as any g above it, is refused at once.
 
     When g | N', the curve's points are multiplied, by ascending x, by N'/g
     until one gives a point other than O, which has order g. Such a point
@@ -993,7 +994,7 @@ def search_prime_order_curve(
             continue
         # the group order is an odd prime, so there is no point with y = 0
         # and any affine point generates the group
-        return CurveParams(q=q, a=a, b=b, g=next(_affine_points(q, a, b)), n=n)
+        return CurveParams(q=q, a=a, b=b, g=_from_pair(next(_affine_points(q, a, b))), n=n)
     raise NotFoundError(
         f"no prime-order curve found in [{q_min}, {q_max}] after {max_tries} tries"
     )

@@ -18,7 +18,6 @@ from .errors import KeyControlError
 
 __all__ = [
     "Mode",
-    "bytes_to_int",
     "derive_key",
     "field_len",
     "hash_bytes",
@@ -58,15 +57,11 @@ def int_to_bytes(x: int, length: int) -> bytes:
         raise ValueError(f"{x} does not fit in {length} bytes") from None
 
 
-def bytes_to_int(data: bytes) -> int:
-    return int.from_bytes(data, "big")
-
-
 def hash_to_scalar(data: bytes, n: int) -> int:
     """Digest of data read as a big-endian integer, reduced mod n."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
-    return bytes_to_int(hash_bytes(data)) % n
+    return int.from_bytes(hash_bytes(data), "big") % n
 
 
 def _keystream(key: bytes, length: int) -> bytes:

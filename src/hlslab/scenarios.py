@@ -12,11 +12,13 @@ and the runner reports the attack as blocked.
 from __future__ import annotations
 
 from dataclasses import replace
+from math import isqrt
 from random import Random
 from typing import Callable, Optional, Sequence
 
 from .arith import is_probable_prime
 from .attacks import (
+    MAX_G_BUDGET,
     AttackReport,
     PairTable,
     forward_secrecy_break,
@@ -235,13 +237,13 @@ def default_g_budget(e: CurveParams) -> list[int]:
     small-order companion-curve point over this field.
 
     Raises:
-        NotFoundError: the primes that admit one do not cover n. A companion
-            curve has at most 2q + 1 points, so no larger prime is tried.
-        ValueError: covering n would take more than 16 primes.
+        NotFoundError: the primes that admit one do not cover n. No prime
+            above q + 1 + floor(2 sqrt q), Hasse's bound on N', is tried.
+        ValueError: covering n would take more than MAX_G_BUDGET primes.
     """
     budget = []
     product = 1
-    candidates = (g for g in range(3, 2 * e.q + 2, 2) if is_probable_prime(g))
+    candidates = (g for g in range(3, e.q + 2 + isqrt(4 * e.q), 2) if is_probable_prime(g))
     while product <= e.n:
         candidate = next(candidates, None)
         if candidate is None:
@@ -255,8 +257,8 @@ def default_g_budget(e: CurveParams) -> list[int]:
             continue
         budget.append(candidate)
         product *= candidate
-        if len(budget) > 16:
-            raise ValueError("needed more than 16 primes to cover n")
+        if len(budget) > MAX_G_BUDGET:
+            raise ValueError(f"needed more than {MAX_G_BUDGET} primes to cover n")
     return budget
 
 

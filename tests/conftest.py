@@ -1,8 +1,8 @@
 """Shared fixtures and references.
 
 The three bundled curves, the bad-parameter files, an a = 0 curve, a
-cofactor-4 curve, and brute-force point lists and counts that the curve
-module is checked against.
+cofactor-4 curve, brute-force point lists and counts that the curve
+module is checked against, and its plain double-and-add on Points.
 """
 
 import json
@@ -12,8 +12,10 @@ import pytest
 
 from hlslab.cli import load_curve
 from hlslab.curve import (
+    INFINITY,
     CurveParams,
     Point,
+    _double_and_add,
     curve_from_dict,
     point_add,
     scalar_mul,
@@ -71,6 +73,18 @@ def affine_points(q, a, b):
     roots = {y * y % q: y for y in range(q // 2 + 1)}
     rhs = ((x, (x * x * x + a * x + b) % q) for x in range(q))
     return [Point(x, roots[t]) for x, t in rhs if t in roots]
+
+
+def double_and_add(k, p, e):
+    """k * p by the curve module's plain double-and-add, the path every other is checked against.
+
+    That path runs on (q, a) and integer pairs; this takes and gives Points,
+    and O for k == 0 or p == O, as scalar_mul does. k is never reduced.
+    """
+    if k == 0 or p.is_infinity:
+        return INFINITY
+    s = _double_and_add(k, (p.x, p.y), e.q, e.a)
+    return INFINITY if s is None else Point(*s)
 
 
 def outcome(k, p, e, mul):

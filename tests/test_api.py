@@ -1,15 +1,19 @@
 """One definition per public name: each module exports only what it defines,
-and the package itself re-exports nothing."""
+and the package itself re-exports nothing. The curve module's private
+arithmetic runs on (q, a) and integer pairs, and only its public functions
+handle Points and parameter sets."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
 
 import hlslab
+from hlslab import curve
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hlslab.__path__))
 
@@ -50,3 +54,49 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# The private arithmetic of hlslab.curve runs on (q, a) and integer pairs;
+# Points and CurveParams are wrapped and unwrapped only at the public boundary
+PAIR_LEVEL = [
+    "_jacobian_double", "_jacobian_add_affine", "_to_affine", "_batch_to_affine",
+    "_double_and_add", "_fixed_base_mul", "_glv_mul", "_odd_multiples",
+    "_affine_points", "_pinned_order", "_enumerated_order", "_group_order",
+]
+
+
+def _types_in(hint):
+    yield hint
+    for arg in typing.get_args(hint):
+        yield from _types_in(arg)
+
+
+@pytest.mark.parametrize("name", PAIR_LEVEL)
+def test_private_curve_arithmetic_takes_no_point_or_parameter_set(name):
+    fn = inspect.unwrap(getattr(curve, name))
+    hints = typing.get_type_hints(fn)
+    assert set(hints) == set(inspect.signature(fn).parameters) | {"return"}
+    found = [
+        (arg, t) for arg, hint in hints.items() for t in _types_in(hint)
+        if t in (curve.Point, curve.CurveParams)
+    ]
+    assert found == []
+
+
+def _callers(tree: ast.Module, callee: str) -> set[str]:
+    # the top-level definitions whose bodies call callee by name
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == callee
+    }
+
+
+def test_only_the_public_boundary_builds_a_parameter_set():
+    tree = ast.parse(Path(curve.__file__).read_text())
+    assert _callers(tree, "CurveParams") == {"curve_from_dict", "search_prime_order_curve"}
+    assert "_CompanionScan" not in _callers(tree, "scalar_mul")

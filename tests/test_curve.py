@@ -14,13 +14,13 @@ from conftest import (
     HOST_20,
     affine_points,
     character_sum,
+    double_and_add,
     load_bad_fixture,
     outcome,
     sum_outcomes,
 )
 import hlslab.curve as curve_module
 from hlslab.curve import (
-    _double_and_add,
     _glv_mul,
     _glv_split,
     _group,
@@ -211,9 +211,9 @@ class TestGroupLaw:
         # refusal of point_add must not turn into a silent O
         pt = (5 * z * z % 17, z**3 % 17, z)
         with pytest.raises(NotInvertibleError):
-            _jacobian_add_affine(pt, Point(5, 3), toy)
-        assert _jacobian_add_affine(pt, Point(5, 16), toy)[2] == 0  # P + (-P) = O
-        x, y, z2 = _jacobian_add_affine(pt, Point(5, 1), toy)  # P + P = 2P = (6, 3)
+            _jacobian_add_affine(pt, (5, 3), toy.q, toy.a)
+        assert _jacobian_add_affine(pt, (5, 16), toy.q, toy.a)[2] == 0  # P + (-P) = O
+        x, y, z2 = _jacobian_add_affine(pt, (5, 1), toy.q, toy.a)  # P + P = 2P = (6, 3)
         assert (x - 6 * z2 * z2) % 17 == 0 and (y - 3 * z2**3) % 17 == 0
 
     def test_scalar_mul_matches_iterated_add_on_mid16(self, mid16):
@@ -349,7 +349,7 @@ class TestGroupOrder:
                 order = character_sum(q, a, b)
                 for p in affine_points(q, a, b):
                     for pt in {p, Point(p.x, -p.y % q)}:
-                        m = _pinned_order(pt, e)
+                        m = _pinned_order((pt.x, pt.y), q, a)
                         assert m in (None, order), (q, a, b, pt)
                         acc = pt
                         for _ in range(2 * s - 1):
@@ -515,6 +515,36 @@ class TestCompanionScan:
             find_invalid_curve_point(a0_q55009, 5)
         assert (orders, scan.next_b) == ([], next_b) and next_b < 100
 
+    # every companion curve over F_41887 has 41887 + 1 -+ 409 points, and
+    # neither prime has a multiple in [41479, 42297]; 42299 took 41,885
+    # counts before it was refused
+    @pytest.mark.parametrize("g", [42299, 21149])
+    def test_prime_with_no_multiple_in_hasse_interval_is_refused_at_once(
+        self, monkeypatch, mid16, g
+    ):
+        curve_module._companion_scan.cache_clear()
+        default_g_budget(mid16)
+        scan = curve_module._companion_scan(mid16)
+        next_b = scan.next_b
+        orders = _count_calls(monkeypatch, "_group_order")
+        message = f"^no companion curve over F_41887 has a subgroup of order {g}$"
+        with pytest.raises(NotFoundError, match=message):
+            find_invalid_curve_point(mid16, g)
+        assert (orders, scan.next_b) == ([], next_b) and next_b < 100
+
+    def test_prime_with_a_multiple_in_hasse_interval_is_scanned(self, monkeypatch, toy):
+        # over F_17 the interval is [10, 26]: 23 is scanned for across every
+        # companion curve, 29 is refused before any count
+        curve_module._companion_scan.cache_clear()
+        orders = _count_calls(monkeypatch, "_group_order")
+        with pytest.raises(NotFoundError):
+            find_invalid_curve_point(toy, 29)
+        assert orders == []
+        with pytest.raises(NotFoundError):
+            find_invalid_curve_point(toy, 23)
+        assert curve_module._companion_scan(toy).next_b == toy.q
+        assert len(orders) > 0
+
     @pytest.mark.parametrize("q", [97, 101, 103, 107])
     def test_a0_twist_class_fixes_the_order(self, q):
         # b' and u^6 b' give isomorphic curves; gcd(6, q - 1) is 6, 2, 6, 2 here
@@ -526,11 +556,15 @@ class TestCompanionScan:
         assert all(len(n) == 1 for n in orders.values())
 
     def test_non_cyclic_part_is_probed_not_walked(self, monkeypatch):
-        # walking every point of the Z/3 x Z/3 curve took 21,037 multiplications
+        # walking every point of the Z/3 x Z/3 curve took 21,037 multiplications;
+        # the scan's points lie off e, so it multiplies them by double-and-add
+        # directly, never through the public scalar_mul
         curve_module._companion_scan.cache_clear()
-        mults = _count_calls(monkeypatch, "scalar_mul")
+        mults = _count_calls(monkeypatch, "_double_and_add")
+        public = _count_calls(monkeypatch, "scalar_mul")
         assert find_invalid_curve_point(POOL_42331, 3).b_prime == 2
         assert len(mults) < 200
+        assert public == []
 
 
 # HOST_20's G has order 5, and a declared n of 2^12 - 1 is composite
@@ -547,12 +581,13 @@ class TestFixedBaseTable:
         scalars = [1, 15, 16, 17, e.n - 1, e.n, e.n + 1, 2**width - 1, 2**width]
         scalars += [rng.randrange(1, 2 * e.n) for _ in range(50)]
         for k in scalars:
-            assert scalar_mul(k, e.g, e) == _double_and_add(k, e.g, e), k
+            assert scalar_mul(k, e.g, e) == double_and_add(k, e.g, e), k
 
     def test_every_entry_is_its_multiple(self, toy):
         for i, row in enumerate(_group(toy).table):
             for j, entry in enumerate(row, start=1):
-                assert entry == affine_scalar_mul(j * 16**i, toy.g, toy), (i, j)
+                multiple = affine_scalar_mul(j * 16**i, toy.g, toy)
+                assert entry == (multiple.x, multiple.y), (i, j)
 
     def test_small_order_base_point_takes_double_and_add(self):
         assert _group(SMALL_ORDER_G) is None
@@ -588,7 +623,7 @@ class TestFixedBaseTable:
             assert is_on_curve(e.g, e) and not is_singular(e.q, e.a, e.b)
         assert _group(e) is None
         outcomes = [outcome(k, e.g, e, scalar_mul) for k in range(1, 300)]
-        assert outcomes == [outcome(k, e.g, e, _double_and_add) for k in range(1, 300)]
+        assert outcomes == [outcome(k, e.g, e, double_and_add) for k in range(1, 300)]
         assert any(isinstance(o, tuple) for o in outcomes) == (name == "composite_q45")
 
     def test_singular_curve_gets_no_table(self):
@@ -657,12 +692,12 @@ class TestGroupProof:
         e = secp256k1
         n, lam = e.n, _group(e).glv[1]
         rng = Random(8)
-        p = _double_and_add(rng.randrange(1, n), e.g, e)
+        p = double_and_add(rng.randrange(1, n), e.g, e)
         scalars = [0, 1, lam, lam - 1, lam + 1, n - 1, n, n + 1, 2 * n, 3 * n - 1]
         scalars += [rng.randrange(3 * n) for _ in range(100)]
         signs = set()
         for k in scalars:
-            expected = _double_and_add(k, p, e) if k else INFINITY
+            expected = double_and_add(k, p, e)
             assert scalar_mul(k, p, e) == expected, k
             k1, k2 = _glv_split(k % n, n, _group(e).glv[2])
             assert (k1 + k2 * lam - k) % n == 0
@@ -697,7 +732,7 @@ class TestGlvChain:
     def test_odd_multiple_tables(self, request, name):
         e = TINY_GLV if name == "tiny" else request.getfixturevalue(name)
         beta = _group(e).glv[0]
-        table, phi_table = _odd_multiples(e.g, e)
+        table, phi_table = _odd_multiples((e.g.x, e.g.y), e.q, beta)
         for m in range(1, 16, 2):
             multiple = affine_scalar_mul(m, e.g, e)
             negated = point_neg(multiple, e)
@@ -705,8 +740,8 @@ class TestGlvChain:
                 if expected.is_infinity:
                     assert table[d >> 1] is phi_table[d >> 1] is None
                 else:
-                    assert table[d >> 1] == expected, d
-                    assert phi_table[d >> 1] == Point(beta * expected.x % e.q, expected.y), d
+                    assert table[d >> 1] == (expected.x, expected.y), d
+                    assert phi_table[d >> 1] == (beta * expected.x % e.q, expected.y), d
         assert (table[13 >> 1] is None) == (name == "tiny")
 
     @pytest.mark.parametrize("which", ["G", "-G", "phi(G)"])
@@ -722,11 +757,11 @@ class TestGlvChain:
         scalars = [1, 2, lam, n - lam, (n - 1) // 2, (n + 1) // 2, n - 1, n, n + 1]
         scalars += [2**128 - 1, 2**128 + 1]
         for k in scalars:
-            expected = _double_and_add(k, p, e)
+            expected = double_and_add(k, p, e)
             assert scalar_mul(k, p, e) == expected, k
             assert scalar_mul_sum(0, k, p, e) == expected, k
             if k % n:
-                assert _glv_mul(((k % n, p),), glv, e) == expected, k
+                assert _glv_mul(((k % n, (p.x, p.y)),), glv, n, e.q) == (expected.x, expected.y), k
 
     def test_tiny_curve_sum_equals_point_add_of_products(self):
         # every (x, y) of F_7^2 and O, on the curve or off it; only on-curve

@@ -9,7 +9,6 @@ from hlslab.curve import INFINITY, Point
 from hlslab.errors import KeyControlError
 from hlslab.primitives import (
     Mode,
-    bytes_to_int,
     derive_key,
     field_len,
     hash_bytes,
@@ -73,7 +72,7 @@ class TestIntCodec:
         for _ in range(100):
             length = rng.randrange(1, 40)
             x = rng.randrange(256**length)
-            assert bytes_to_int(int_to_bytes(x, length)) == x
+            assert int.from_bytes(int_to_bytes(x, length), "big") == x
 
 
 class TestStreamCipher:

@@ -25,13 +25,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import affine_points, outcome, sum_outcomes  # noqa: E402
+from conftest import affine_points, double_and_add, outcome, sum_outcomes  # noqa: E402
 from hlslab.arith import is_probable_prime  # noqa: E402
 from hlslab.curve import (  # noqa: E402
     INFINITY,
     CurveParams,
     Point,
-    _double_and_add,
     _group,
     _wnaf,
     count_points,
@@ -40,10 +39,6 @@ from hlslab.curve import (  # noqa: E402
 )
 
 SETTINGS = settings(max_examples=100, database=None, deadline=None)
-
-
-def double_and_add(k, p, e):
-    return INFINITY if k == 0 or p.is_infinity else _double_and_add(k, p, e)
 
 
 def assert_same_outcomes(p, e, ks):

@@ -8,7 +8,7 @@ import pytest
 from hlslab import scenarios
 from hlslab.attacks import forward_secrecy_break
 from hlslab.curve import find_invalid_curve_point
-from hlslab.errors import OracleRefusedError
+from hlslab.errors import NotFoundError, OracleRefusedError
 from hlslab.hls import Mode, bound_hash, gen, signcrypt
 from hlslab.scenarios import (
     FIXED_NOW,
@@ -153,6 +153,20 @@ class TestDefaultGBudget:
     def test_budget_entries_have_points(self, toy):
         for g in default_g_budget(toy):
             assert find_invalid_curve_point(toy, g).order == g
+
+    def test_candidates_stop_at_the_hasse_bound(self, toy, monkeypatch):
+        # a companion curve over F_17 has at most 17 + 1 + 8 = 26 points, so
+        # when no prime serves, the odd primes up to 26 are the ones tried
+        tried = []
+
+        def refuse(e, g):
+            tried.append(g)
+            raise NotFoundError("none")
+
+        monkeypatch.setattr(scenarios, "find_invalid_curve_point", refuse)
+        with pytest.raises(NotFoundError, match="do not cover n = 19"):
+            default_g_budget(toy)
+        assert tried == [3, 5, 7, 11, 13, 17, 19, 23]
 
 
 def test_fixed_now_constant():
