@@ -43,6 +43,7 @@ from .errors import (
 from .primitives import (
     Mode,
     derive_key,
+    field_len,
     hash_to_scalar,
     mac,
     stream_decrypt,
@@ -189,6 +190,8 @@ def _unsigncrypt(
     shared = scalar_mul(d_recipient, sigma.ephemeral, e)
     key = derive_key(shared, e, mode)
     message = stream_decrypt(key, sigma.ciphertext)
+    if not sigma.ephemeral.is_infinity and sigma.ephemeral.x >= 256 ** field_len(e.q):
+        return None, key  # x_R has no field encoding, so no h binds it
     h = bound_hash(message, sigma.ephemeral, e)
     check = scalar_mul_sum(sigma.signature, h, sigma.ephemeral, e)
     return (message if check == pub_sender else None), key

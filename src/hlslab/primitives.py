@@ -65,15 +65,16 @@ def hash_to_scalar(data: bytes, n: int) -> int:
 
 
 def _keystream(key: bytes, length: int) -> bytes:
-    blocks = []
-    for j in range((length + 31) // 32):
-        blocks.append(hash_bytes(key + int_to_bytes(j, 8)))
+    """First length bytes of blocks 0, 1, ...; block j = SHA-256(key || j, 8 bytes big-endian)."""
+    n_blocks = (length + 31) // 32
+    blocks = [hashlib.sha256(key + j.to_bytes(8, "big")).digest() for j in range(n_blocks)]
     return b"".join(blocks)[:length]
 
 
 def stream_encrypt(key: bytes, message: bytes) -> bytes:
-    """XOR with a counter-mode keystream; involutory, length-preserving."""
-    return bytes(m ^ k for m, k in zip(message, _keystream(key, len(message))))
+    """XOR with _keystream as one big-endian integer XOR; involutory, length-preserving."""
+    stream = int.from_bytes(_keystream(key, len(message)), "big")
+    return (int.from_bytes(message, "big") ^ stream).to_bytes(len(message), "big")
 
 
 def stream_decrypt(key: bytes, ciphertext: bytes) -> bytes:

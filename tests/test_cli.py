@@ -142,6 +142,30 @@ class TestSigncryptPipeline:
         assert code == 2
         assert "refused" in err
 
+    @pytest.mark.parametrize("mode,code", [("vulnerable", 1), ("hardened", 2)])
+    def test_unreduced_ephemeral_x(self, run, tmp_path, mid16, mode, code):
+        # x_R + q >= 2^16 has no 2-byte field encoding: a reject, not a usage error
+        alice, bob = tmp_path / "alice.json", tmp_path / "bob.json"
+        run("keygen", "--curve", "mid16", "--seed", "1", "--out", str(alice))
+        run("keygen", "--curve", "mid16", "--seed", "2", "--out", str(bob))
+        msg, sigma = tmp_path / "m.bin", tmp_path / "s.json"
+        msg.write_bytes(b"payload")
+        run("signcrypt", "--curve", "mid16", "--seed", "3", "--key", str(alice),
+            "--recipient", str(bob), "--in", str(msg), "--out", str(sigma))
+        data = json.loads(sigma.read_text())
+        x = int(data["R"]["x"], 16) + mid16.q
+        assert x >= 2**16
+        data["R"]["x"] = hex(x)
+        sigma.write_text(json.dumps(data))
+        got, out, err = run(
+            "unsigncrypt", "--curve", "mid16", "--mode", mode, "--key", str(bob),
+            "--sender", str(alice), "--in", str(sigma),
+        )
+        assert got == code
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert ("rejected the triple" if code == 1 else "out of field range") in err
+
     def test_recipient_may_be_a_certificate(self, run, keys, tmp_path):
         alice, bob = keys
         state = tmp_path / "ca"

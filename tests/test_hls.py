@@ -136,6 +136,19 @@ class TestRoundtrip:
         h = signcrypt(message, alice.d, bob.pub, toy, Random(99), Mode.HARDENED)
         assert v == h
 
+    def test_modes_agree_on_a_bulk_message(self, mid16):
+        # 256 KiB + 1: the keystream spans 8,193 blocks and ends mid-block
+        rng = Random(18)
+        alice, bob = gen(mid16, rng), gen(mid16, rng)
+        message = rng.randbytes(256 * 1024 + 1)
+        triples = {
+            mode: signcrypt(message, alice.d, bob.pub, mid16, Random(7), mode)
+            for mode in Mode
+        }
+        assert triples[Mode.VULNERABLE] == triples[Mode.HARDENED]
+        for mode, sigma in triples.items():
+            assert unsigncrypt(sigma, bob.d, alice.pub, mid16, mode) == message
+
 
 class TestRejection:
     def test_tampered_ciphertext_rejected(self, secp256k1):
@@ -291,6 +304,53 @@ class TestEphemeralValidation:
         # the vulnerable path processes the same triple without complaint
         sigma = SigncryptedText(b"\x00\x00", Point(0, 7), 2)
         unsigncrypt(sigma, bob.d, alice.pub, toy, Mode.VULNERABLE)  # must not raise
+
+
+class TestUnreducedEphemeral:
+    # an honest mid16 triple with R's x or y replaced by the same value plus q:
+    # x_R + q >= 2^16 has no 2-byte field encoding for the bound hash
+    @pytest.fixture()
+    def honest(self, mid16):
+        rng = Random(1)
+        alice, bob = gen(mid16, rng), gen(mid16, rng)
+        sigma = signcrypt(b"unreduced", alice.d, bob.pub, mid16, rng)
+        assert sigma.ephemeral.x + mid16.q >= 2**16
+        return alice, bob, sigma
+
+    @staticmethod
+    def shifted(sigma, dx, dy):
+        r = sigma.ephemeral
+        return dataclasses.replace(sigma, ephemeral=Point(r.x + dx, r.y + dy))
+
+    def test_vulnerable_rejects_x_without_encoding(self, mid16, honest):
+        alice, bob, sigma = honest
+        bad = self.shifted(sigma, mid16.q, 0)
+        assert unsigncrypt(bad, bob.d, alice.pub, mid16, Mode.VULNERABLE) is None
+        policy = ConfirmPolicy.CONFIRM_AFTER_VERIFY
+        assert confirmation_oracle(bad, bob.d, alice.pub, mid16, b"c", policy) is None
+
+    def test_hardened_refuses_x_out_of_range(self, mid16, honest):
+        alice, bob, sigma = honest
+        bad = self.shifted(sigma, mid16.q, 0)
+        with pytest.raises(InvalidEphemeralKeyError, match="out of field range"):
+            unsigncrypt(bad, bob.d, alice.pub, mid16, Mode.HARDENED)
+        with pytest.raises(InvalidEphemeralKeyError, match="out of field range"):
+            confirmation_oracle(bad, bob.d, alice.pub, mid16, b"c", ConfirmPolicy.HARDENED)
+
+    def test_confirm_always_still_answers(self, mid16, honest):
+        # the tag-first policy never hashes x_R; d_B * R reduces R mod q
+        alice, bob, sigma = honest
+        bad = self.shifted(sigma, mid16.q, 0)
+        policy = ConfirmPolicy.CONFIRM_ALWAYS
+        assert confirmation_oracle(bad, bob.d, alice.pub, mid16, b"c", policy) == (
+            confirmation_oracle(sigma, bob.d, alice.pub, mid16, b"c", policy)
+        )
+
+    def test_vulnerable_accepts_unreduced_y(self, mid16, honest):
+        # y_R is never encoded, and d_B * R and h * R reduce it mod q
+        alice, bob, sigma = honest
+        bad = self.shifted(sigma, 0, mid16.q)
+        assert unsigncrypt(bad, bob.d, alice.pub, mid16, Mode.VULNERABLE) == b"unreduced"
 
 
 class TestKeyRangeChecks:

@@ -97,10 +97,25 @@ class TestStreamCipher:
         )
         assert stream_encrypt(key, zeros) == expected
 
+    @pytest.mark.parametrize(
+        "key",
+        [b"\x07", b"\xa3\x9f", bytes(range(1, 33)), bytes(1), bytes(2), bytes(32)],
+        ids=["1B", "2B", "32B", "zero-1B", "zero-2B", "zero-32B"],
+    )
+    def test_keystream_past_block_255(self, key):
+        # widths of toy17, mid16 and secp256k1 field elements, and the all-zero
+        # key that vulnerable derive_key gives for O; 8,193 blocks reach the
+        # counter's second byte, and the last block is cut after 5 bytes
+        length = 256 * 1024 + 5
+        reference = b"".join(
+            hashlib.sha256(key + j.to_bytes(8, "big")).digest() for j in range(8193)
+        )[:length]
+        assert stream_encrypt(key, bytes(length)) == reference
+
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 65, 100, 1000])
     def test_matches_bytewise_xor(self, length):
-        # leading zero bytes survive, in the message and in the ciphertext
-        # alike, as they must for any faster XOR that replaces this one
+        # stream_encrypt XORs two whole integers; leading zero bytes must
+        # survive it, in the message and in the ciphertext alike
         key = b"\x07"
         keystream = stream_encrypt(key, bytes(length))
         rng = Random(length)
