@@ -16,7 +16,6 @@ from hlslab.attacks import (
     invalid_curve_attack,
     recover_ephemeral,
     recover_sender_key,
-    scan_with_pair_table,
     uks_attack,
     weak_key_audit,
     zero_r_probe,
@@ -118,10 +117,13 @@ class TestPairTable:
             signcrypt(b"two", alice.d, bob.pub, toy, rng, forced_r=11),  # not in table
             signcrypt(b"three", alice.d, bob.pub, toy, rng, forced_r=9),
         ]
-        reports = scan_with_pair_table(table, traffic, bob.pub, toy)
-        assert len(reports) == 2
-        assert all(rep.recovered["d_A"] == alice.d for rep in reports)
-        assert {rep.recovered["r"] for rep in reports} == {4, 9}
+        matches = [table.match(sigma.ephemeral, toy) for sigma in traffic]
+        assert [r is not None for r in matches] == [True, False, True]
+        assert all(
+            recover_sender_key(r, sigma, bob.pub, toy) == alice.d
+            for r, sigma in zip(matches, traffic)
+            if r is not None
+        )
 
 
 class TestRecoverEphemeral:

@@ -32,6 +32,8 @@ GOLDEN = {
     ("invalid-curve", "toy17", "vulnerable"): "3548473299709bb685d3b15c6fed12ce27a69cf6d62fd03947062a59b00b358c",
     ("pair-scan", "mid16", "hardened"): "432f5859c4d6970732ff6192828bda8301138f436ae432c3441dda3b9350b403",
     ("pair-scan", "mid16", "vulnerable"): "97c7d86cc35bf286e6e0f7e7faaf8bb3c89ceae2d272935ea962ff2fdba1f453",
+    ("pair-scan", "secp256k1", "hardened"): "432f5859c4d6970732ff6192828bda8301138f436ae432c3441dda3b9350b403",
+    ("pair-scan", "secp256k1", "vulnerable"): "16ad4e5fbb2f4838da580167d58037ff90eec551c10c4158f4cdeaf261342696",
     ("pair-scan", "toy17", "hardened"): "432f5859c4d6970732ff6192828bda8301138f436ae432c3441dda3b9350b403",
     ("pair-scan", "toy17", "vulnerable"): "ade77e540aeefe3a5afff69cfc9923be00e623df71fa6ec6cd020c04d0cd5ec6",
     ("uks", "mid16", "hardened"): "0246f482c8f408de52be3602db1208029c752cebacb1ebf41cdf353f1e05137f",

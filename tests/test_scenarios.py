@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from conftest import load_bad_fixture
 from hlslab import scenarios
 from hlslab.attacks import forward_secrecy_break
 from hlslab.curve import find_invalid_curve_point
@@ -56,6 +57,14 @@ class TestScenarioDetails:
         report = run_pair_scan(toy, Mode.HARDENED, Random(68))
         assert not report.success
         assert "zero table matches" in report.transcript[0]
+
+    def test_pair_scan_scores_against_the_true_keys(self):
+        # n = 38 but G has order 19: two of the six recoveries land on d + 19,
+        # which a check against the public keys alone would accept
+        report = run_pair_scan(load_bad_fixture("bad_composite_n"), Mode.VULNERABLE, Random(4))
+        assert report.transcript[-1] == "4/6 recoveries verified, 2/2 sender keys exposed"
+        assert not report.success
+        assert report.recovered == {"d_A#0": 16, "d_A#1": 20}
 
     def test_forward_secrecy_blocked_reason(self, toy):
         report = SCENARIOS["forward-secrecy"](toy, Mode.HARDENED, Random(69))
