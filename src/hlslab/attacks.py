@@ -1,11 +1,11 @@
 """Executable key-recovery and misbinding attacks against the vulnerable
 scheme, each returning a structured AttackReport.
 
-Covered: ephemeral-leak sender-key recovery (plus the precomputed-pair
-scanning variant), forward-secrecy break via ephemeral reconstruction,
-invalid-curve recovery of the recipient key through the confirmation-tag
-oracle with CRT recombination, identity misbinding against a lax CA,
-the r = 0 signature leak, and the degenerate-session-key audit.
+Covered: ephemeral-leak sender-key recovery (pair-scan is PairTable plus this
+recovery, scored in its scenario), forward-secrecy break via ephemeral
+reconstruction, invalid-curve recovery of the recipient key through the
+confirmation-tag oracle with CRT recombination, identity misbinding against
+a lax CA, the r = 0 signature leak, and the degenerate-session-key audit.
 
 Every attack is deterministic given its injected randomness, and every
 success report carries the recovered secrets so callers can re-verify them
@@ -48,7 +48,6 @@ __all__ = [
     "invalid_curve_attack",
     "recover_ephemeral",
     "recover_sender_key",
-    "scan_with_pair_table",
     "uks_attack",
     "weak_key_audit",
     "zero_r_probe",
@@ -135,33 +134,6 @@ class PairTable:
         if scalar_mul(alt, e.g, e) == ephemeral:
             return alt
         return None
-
-
-def scan_with_pair_table(
-    table: PairTable,
-    intercepted: Sequence[SigncryptedText],
-    pub_recipient: Point,
-    e: CurveParams,
-) -> list[AttackReport]:
-    """Run the leak recovery on every intercepted triple whose R is tabulated."""
-    reports = []
-    for idx, sigma in enumerate(intercepted):
-        r = table.match(sigma.ephemeral, e)
-        if r is None:
-            continue
-        d_a = recover_sender_key(r, sigma, pub_recipient, e)
-        reports.append(
-            AttackReport(
-                attack_id="pair-scan",
-                success=True,
-                recovered={"d_A": d_a, "r": r},
-                trials=1,
-                transcript=(
-                    f"intercepted[{idx}]: x_R matched table entry, r = {r}, d_A = {d_a}",
-                ),
-            )
-        )
-    return reports
 
 
 def recover_ephemeral(d_sender: int, s: int, h: int, n: int) -> int:

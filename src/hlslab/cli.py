@@ -270,6 +270,11 @@ class _CaState:
 
 
 def cmd_ca(args) -> int:
+    if args.ca_cmd == "revoke":
+        # a serial joins the CRL whatever the CA's curve, so no curve is read
+        with _CaState(args.dir) as state:
+            state.write_crl(state.read_crl() | {int(args.serial, 0)})
+        return EXIT_OK
     e = load_curve(args.curve)
     if args.ca_cmd == "init":
         directory = Path(args.dir)
@@ -307,11 +312,6 @@ def cmd_ca(args) -> int:
             cert = ca.issue(args.subject, public_key, args.now, args.lifetime, pop=pop)
             state.write_serial(ca.next_serial)
             _write_json(args.out, cert_to_dict(cert))
-            return EXIT_OK
-        if args.ca_cmd == "revoke":
-            crl = state.read_crl()
-            crl.add(int(args.serial, 0))
-            state.write_crl(crl)
             return EXIT_OK
         # verify
         cert = cert_from_dict(_load_json(args.infile))
@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--dir", required=True)
     cp.set_defaults(func=cmd_ca)
     cp = csub.add_parser("issue", help="issue a certificate")
-    _add_curve_opt(cp), _add_seed_opt(cp), _add_output_opt(cp)
+    _add_curve_opt(cp), _add_seed_opt(cp)
     cp.add_argument("--dir", required=True)
     cp.add_argument("--subject", required=True)
     cp.add_argument("--pubkey", required=True, help="requester public key file")
@@ -496,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--out", help="certificate output file (stdout when omitted)")
     cp.set_defaults(func=cmd_ca)
     cp = csub.add_parser("revoke", help="add a serial to the CRL")
-    _add_curve_opt(cp)
     cp.add_argument("--dir", required=True)
     cp.add_argument("--serial", required=True)
     cp.set_defaults(func=cmd_ca)

@@ -22,8 +22,8 @@ interleaved width-5 NAF chain. Every other curve and point takes plain
 double-and-add with k as given. b only picks the path, by telling whether
 G and the point lie on e; it never changes the result, because both paths
 compute the same group element, and a point off e (a companion-curve point
-of the invalid-curve attack) is multiplied exactly as before, unreduced and
-unsplit.
+of the invalid-curve attack) is multiplied by plain double-and-add, its k
+unreduced and unsplit.
 
 scalar_mul_sum(j, k, p, e) is j * G + k * p, the shape of both signature
 checks. It is point_add of two scalar_mul results, exceptions included; on
@@ -568,7 +568,7 @@ def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
 
     b is read only by the on-curve tests, which pick the path but never the
     result: on a proven curve both paths compute the same group element,
-    and off e the double-and-add runs as it always has. That is what keeps
+    and off e plain double-and-add runs with k as given. That is what keeps
     the invalid-curve attack working: a point of a companion curve
     y^2 = x^3 + ax + b' is multiplied in that curve's group, and its k is
     not reduced mod n.

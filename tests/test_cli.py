@@ -4,6 +4,7 @@ Exit-code contract under test: 0 success / attack succeeded, 1 rejected or
 blocked, 2 validation or policy failure, 3 usage and file errors.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 import hlslab
 from conftest import DATA_DIR
 from hlslab import scenarios
-from hlslab.cli import main
+from hlslab.cli import build_parser, main
 from hlslab.curve import curve_to_dict, scalar_mul
 from hlslab.hls import keypair_from_dict, signcrypted_from_dict
 from hlslab.primitives import Mode
@@ -333,6 +334,26 @@ class TestCaCommand:
         assert code == 3
         assert "another invocation" in err
 
+    def test_revoke_reads_no_curve(self, run, tmp_path, monkeypatch):
+        state = tmp_path / "ca"
+        run("ca", "init", "--seed", "8", "--dir", str(state))
+        monkeypatch.setenv("HLSLAB_CURVE", str(tmp_path / "nonexistent.json"))
+        assert run("ca", "revoke", "--dir", str(state), "--serial", "0x1") == (0, "", "")
+        assert json.loads((state / "crl.json").read_text()) == ["0x1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a certificate is always written as JSON
+            "ca issue --dir ca --subject A --pubkey k.json --output json",
+            "ca revoke --dir ca --serial 0x1 --curve toy17",
+        ],
+    )
+    def test_options_the_command_never_reads_are_refused(self, run, argv):
+        code, _, err = run(*argv.split())
+        assert code == 3
+        assert err.startswith(f"error: unrecognized arguments: {argv.split()[-2]}")
+
     def test_missing_state_dir(self, run, keys, tmp_path):
         alice, _ = keys
         code, _, err = run(
@@ -595,3 +616,62 @@ class TestUsageErrors:
         code, _, err = run(*argv.format(**paths).split())
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# One run of every leaf subcommand, each finding the files the earlier ones
+# wrote. The runs take the paths that read every option: the parameter gate
+# is not skipped, and the attack is invalid-curve, the one that reads
+# --g-budget.
+EVERY_LEAF = {
+    ("keygen",): "keygen --seed 1 --out k.json",
+    ("signcrypt",): "signcrypt --seed 2 --key k.json --recipient k.json --in k.json --out s.json",
+    ("unsigncrypt",): "unsigncrypt --key k.json --sender k.json --in s.json --out m.bin",
+    ("validate", "params"): "validate params",
+    ("validate", "pubkey"): "validate pubkey --in k.json",
+    ("ca", "init"): "ca init --seed 3 --dir ca",
+    ("ca", "prove"): "ca prove --seed 4 --key k.json --subject A --ca-pub ca/ca_key.json --out p.json",
+    ("ca", "issue"): "ca issue --seed 5 --dir ca --subject A --pubkey k.json --pop p.json --out c.json",
+    ("ca", "verify"): "ca verify --dir ca --in c.json",
+    ("validate", "cert"): "validate cert --in c.json --ca ca/ca_key.json --crl ca/crl.json",
+    ("ca", "revoke"): "ca revoke --dir ca --serial 0x1",
+    ("attack",): "attack invalid-curve --seed 6 --g-budget 3,7",
+    ("demo-all",): "demo-all --seed 7",
+    ("find-curve",): "find-curve --seed 1 --min 100 --max 300",
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        yield path, parser
+        return
+    for name, sub in subcommands[0].choices.items():
+        yield from _leaf_parsers(sub, path + (name,))
+
+
+def test_every_option_is_read(tmp_path, monkeypatch, capsys):
+    # a handler that never reads an option's dest makes that option a no-op
+    monkeypatch.chdir(tmp_path)
+    leaves = dict(_leaf_parsers(build_parser()))
+    assert set(leaves) == set(EVERY_LEAF)
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    unread = {}
+    for path, argv in EVERY_LEAF.items():
+        args = build_parser().parse_args(argv.split())
+        if getattr(args, "curve", "") is None:
+            args.curve = "toy17"
+        reads = set()
+        assert args.func(RecordingNamespace(**vars(args))) == 0, argv
+        dests = [
+            a.dest for a in leaves[path]._actions if not isinstance(a, argparse._HelpAction)
+        ]
+        missing = [d for d in dests if d not in reads]
+        if missing:
+            unread[path] = missing
+    capsys.readouterr()
+    assert unread == {}
