@@ -5,6 +5,7 @@ The worked example's recovery algebra: with s = 2, h = 4, r = 5 on the
 = 1 * 5 = 5 (mod 19), both frozen from the independent trace.
 """
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -38,7 +39,7 @@ from hlslab.hls import (
     signcrypt,
 )
 from hlslab.pki import CAPolicy, CertificateAuthority
-from hlslab.primitives import derive_key
+from hlslab.primitives import derive_key, mac
 from hlslab.scenarios import default_g_budget, make_decryptor, run_invalid_curve
 
 NOW = 1_700_000_000
@@ -102,6 +103,12 @@ class TestPairTable:
     def test_unmatched_point(self, toy):
         table = PairTable.build([3], toy)
         assert table.match(scalar_mul(7, toy.g, toy), toy) is None
+
+    def test_tabulated_x_with_a_foreign_y_does_not_match(self, toy):
+        # 3*G = (10, 6): x is in the table, but y = 7 is neither 6 nor 17 - 6
+        table = PairTable.build([3], toy)
+        assert scalar_mul(3, toy.g, toy) == Point(10, 6)
+        assert table.match(Point(10, 7), toy) is None
 
     def test_infinity_never_matches(self, toy):
         table = PairTable.build([3], toy)
@@ -224,6 +231,22 @@ class TestInvalidCurveAttack:
         assert report.oracle_queries == 2  # refusals still cost a query
         assert any("refused" in line for line in report.transcript)
 
+    def test_round_with_no_matching_key_contributes_nothing(self, toy):
+        # keys over F_17 are one byte x < 17, so none is b"\xff"
+        def oracle(sigma, confirm_message):
+            return b"", mac(b"\xff", confirm_message)
+
+        bob = gen(toy, Random(66))
+        report = invalid_curve_attack(toy, bob.pub, oracle, b"c", [3, 7], Random(67))
+        assert not report.success
+        assert report.oracle_queries == 2
+        assert report.trials == 2 + 4
+        assert "g=3: no candidate key matched in 2 trials" in report.transcript
+        assert "g=7: no candidate key matched in 4 trials" in report.transcript
+        assert report.transcript[-1] == (
+            "no residues collected, recipient never leaked a usable tag"
+        )
+
     def test_verify_first_oracle_starves_the_attack(self, toy):
         bob = gen(toy, Random(50))
         alice = gen(toy, Random(51))
@@ -337,6 +360,16 @@ class TestUksAttack:
         ca.policy = CAPolicy(require_pop=True)
         with pytest.raises(PopRequiredError):
             ca.issue("Mallory", alice_cert.public_key, NOW, 1000)
+
+    def test_tampered_signature_fails_unsigncryption(self, toy, setup):
+        ca, alice_cert, bob, sigma, _ = setup
+        tampered = replace(sigma, signature=(sigma.signature + 1) % toy.n)
+        report = uks_attack(ca, alice_cert, bob, tampered, toy, NOW)
+        assert not report.success
+        assert report.transcript[-2:] == (
+            "recipient accepted the certificate",
+            "unsigncryption rejected the triple",
+        )
 
     def test_revocation_before_presentation_defeats_it(self, toy, setup):
         ca, alice_cert, bob, sigma, message = setup
