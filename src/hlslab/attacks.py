@@ -203,14 +203,14 @@ def invalid_curve_attack(
     """Recover the recipient's key through the confirmation oracle.
 
     For each small prime g: find a point W of order g on a companion curve,
-    send it as the ephemeral of a crafted triple, and replay the returned
-    tag against at most floor(g/2) + 1 candidate keys derived from j*W.
-    The matching j pins the recipient key to +-j mod g; the sign ambiguity
-    (derive_key sees only x, identical for K and -K) is resolved at the end
-    by enumerating sign combinations through the CRT and testing d*G.
-    Vulnerable derive_key gives O the key of x = 0, so a match at j = 0 also
-    fits every j <= g/2 whose j*W has x = 0; those j are found by point
-    additions, with no further MAC trial, and kept as CRT options too.
+    send it as the ephemeral of a crafted triple, and walk j*W once for
+    j = 0..floor(g/2), replaying the returned tag against each key until
+    one matches. The options mod g are +-j for every walked j whose key is
+    the matched one; the sign ambiguity (derive_key sees only x, identical
+    for K and -K) is resolved at the end by enumerating the combinations
+    through the CRT and testing d*G. Vulnerable derive_key gives O the key
+    of x = 0, so after a match at j = 0 the walk goes on to floor(g/2)
+    without MAC trials, collecting every j whose j*W has x = 0.
 
     One oracle query per g, including rejected ones. Rounds the oracle
     refuses (a validating recipient) or fails to match contribute nothing;
@@ -222,7 +222,7 @@ def invalid_curve_attack(
     if len(set(g_budget)) != len(g_budget):
         raise ValueError("g budget must contain distinct primes")
     for g in g_budget:
-        if g < 3 or g % 2 == 0 or not is_probable_prime(g):
+        if g < 3 or not is_probable_prime(g):
             raise ValueError(f"g budget entries must be odd primes >= 3, got {g}")
     transcript = []
     product = math.prod(g_budget)
@@ -230,9 +230,8 @@ def invalid_curve_attack(
         transcript.append(
             f"warning: product of orders {product} <= n = {e.n}, recovery cannot be unique"
         )
-    # the residues mod g that the tag allows, and g, per answered round
-    residues: list[tuple[list[int], int]] = []
-    queries = 0
+    # the (residue, g) pairs the tag allows, one list per answered round
+    residues: list[list[tuple[int, int]]] = []
     mac_trials = 0
     for g in g_budget:
         icp = find_invalid_curve_point(e, g)
@@ -245,7 +244,6 @@ def invalid_curve_attack(
             ephemeral=w,
             signature=rng.randrange(e.n),
         )
-        queries += 1
         try:
             response = oracle(crafted, confirm_message)
         except (InvalidEphemeralKeyError, KeyControlError) as exc:
@@ -255,47 +253,39 @@ def invalid_curve_attack(
             transcript.append(f"g={g}: oracle returned no tag (verification failed)")
             continue
         _, tag = response
-        candidate = INFINITY  # j * W, starting at j = 0
-        matched_j = None
-        round_trials = 0
+        # One walk of j * W for j = 0..g//2, MAC-testing keys in order until
+        # one reproduces the tag, and stopping at a match with j >= 1. A match
+        # at j = 0 is O's all-zero key, which the walk goes on comparing with
+        # no further MAC trial: only an x = 0 multiple shares it. (g - j) * W
+        # has j * W's x, hence its key, so each matching j gives +-j mod g.
+        candidate, matched, options = INFINITY, None, []  # candidate is j * W
         for j in range(g // 2 + 1):
-            round_trials += 1
-            key_j = derive_key(candidate, e, Mode.VULNERABLE)
-            if mac(key_j, confirm_message) == tag:
-                matched_j = j
-                # (g - j) * W shares j * W's x-coordinate, hence its key: the
-                # oracle pins d_B only up to sign mod g
-                break
-            candidate = point_add(candidate, w, e)
+            if j:
+                candidate = point_add(candidate, w, e)
+            key = derive_key(candidate, e, Mode.VULNERABLE)
+            if matched is None and mac(key, confirm_message) == tag:
+                matched = key
+            if key == matched:
+                options += [j, g - j] if j else [0]
+                if options[0]:
+                    break
+        round_trials = options[0] + 1 if options else g // 2 + 1
         mac_trials += round_trials
-        if matched_j is None:
+        if not options:
             transcript.append(f"g={g}: no candidate key matched in {round_trials} trials")
             continue
         transcript.append(
-            f"g={g}: d_B == +-{matched_j} (mod {g}) after {round_trials} trials"
+            f"g={g}: d_B == +-{options[0]} (mod {g}) after {round_trials} trials"
             f" (bound {g // 2 + 1})"
         )
-        if matched_j:
-            options = [matched_j, g - matched_j]
-        else:
-            options = [0]
-            # the j whose j * W has O's key, x = 0
-            zero_x = []
-            candidate = w
-            for j in range(1, g // 2 + 1):
-                if candidate.x == 0:
-                    zero_x.append(j)
-                candidate = point_add(candidate, w, e)
-            if zero_x:
-                options += [r for j in zero_x for r in (j, g - j)]
-                transcript.append(
-                    f"g={g}: j*W has x = 0 for j in {zero_x}, whose key is that of j = 0;"
-                    f" d_B == +-j (mod {g}) for those j kept as options"
-                )
-        residues.append((options, g))
-    moduli = [g for _, g in residues]
-    for combo in itertools.product(*(options for options, _ in residues)) if residues else ():
-        candidate_d = crt_combine(zip(combo, moduli))
+        if not options[0] and options[1:]:
+            transcript.append(
+                f"g={g}: j*W has x = 0 for j in {options[1::2]}, whose key is that of"
+                f" j = 0; d_B == +-j (mod {g}) for those j kept as options"
+            )
+        residues.append([(r, g) for r in options])
+    for combo in itertools.product(*residues):
+        candidate_d = crt_combine(combo)
         if not 1 <= candidate_d < e.n:
             continue
         if scalar_mul(candidate_d, e.g, e) == pub_recipient:
@@ -306,7 +296,7 @@ def invalid_curve_attack(
                 "invalid-curve",
                 True,
                 recovered={"d_B": candidate_d},
-                oracle_queries=queries,
+                oracle_queries=len(g_budget),
                 trials=mac_trials,
                 transcript=tuple(transcript),
             )
@@ -316,7 +306,7 @@ def invalid_curve_attack(
         else "no residues collected, recipient never leaked a usable tag"
     )
     return AttackReport(
-        "invalid-curve", False, oracle_queries=queries, trials=mac_trials,
+        "invalid-curve", False, oracle_queries=len(g_budget), trials=mac_trials,
         transcript=tuple(transcript),
     )
 

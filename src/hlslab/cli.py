@@ -305,7 +305,6 @@ def cmd_ca(args) -> int:
                 ),
                 rng=_rng(args),
                 next_serial=state.read_serial(),
-                crl=state.read_crl(),
             )
             public_key = _read_public_point(args.pubkey)
             pop = sig_from_dict(_load_json(args.pop)) if args.pop else None
@@ -321,11 +320,13 @@ def cmd_ca(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.g_budget and args.which != "invalid-curve":
+        raise UsageError("--g-budget applies only to attack invalid-curve")
     e = load_curve(args.curve)
     _gate_params(e, args)
     runner = SCENARIOS[args.which]
     kwargs = {}
-    if args.which == "invalid-curve" and args.g_budget:
+    if args.g_budget:
         kwargs["g_budget"] = [int(g, 0) for g in args.g_budget.split(",")]
     report = runner(e, Mode(args.mode), _rng(args), **kwargs)
     if args.output == "json":

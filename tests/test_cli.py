@@ -354,6 +354,26 @@ class TestCaCommand:
         assert code == 3
         assert err.startswith(f"error: unrecognized arguments: {argv.split()[-2]}")
 
+    @pytest.mark.parametrize("crl", [None, "{not json"], ids=["missing", "corrupt"])
+    def test_only_verify_reads_the_crl(self, run, keys, tmp_path, crl):
+        alice, _ = keys
+        state = tmp_path / "ca"
+        run("ca", "init", "--seed", "8", "--dir", str(state))
+        if crl is None:
+            (state / "crl.json").unlink()
+        else:
+            (state / "crl.json").write_text(crl)
+        cert = tmp_path / "cert.json"
+        code, _, err = run(
+            "ca", "issue", "--dir", str(state), "--subject", "A",
+            "--pubkey", str(alice), "--out", str(cert),
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(cert.read_text())["serial"] == "0x1"
+        code, _, err = run("ca", "verify", "--dir", str(state), "--in", str(cert))
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_missing_state_dir(self, run, keys, tmp_path):
         alice, _ = keys
         code, _, err = run(
@@ -386,6 +406,11 @@ class TestAttackCommand:
         )
         assert code == 0
         assert json.loads(out)["oracle_queries"] == 2
+
+    def test_g_budget_refused_by_other_scenarios(self, run):
+        code, out, err = run("attack", "pair-scan", "--seed", "1", "--g-budget", "3,5")
+        assert (code, out) == (3, "")
+        assert err == "error: --g-budget applies only to attack invalid-curve\n"
 
     def test_unknown_scenario_is_usage_error(self, run):
         assert run("attack", "nonsense")[0] == 3
@@ -619,9 +644,9 @@ class TestUsageErrors:
 
 
 # One run of every leaf subcommand, each finding the files the earlier ones
-# wrote. The runs take the paths that read every option: the parameter gate
-# is not skipped, and the attack is invalid-curve, the one that reads
-# --g-budget.
+# wrote, and of attack once per scenario. The runs take the paths that read
+# every option: the parameter gate is not skipped, and invalid-curve is given
+# --g-budget, which every other scenario must still read to refuse.
 EVERY_LEAF = {
     ("keygen",): "keygen --seed 1 --out k.json",
     ("signcrypt",): "signcrypt --seed 2 --key k.json --recipient k.json --in k.json --out s.json",
@@ -634,10 +659,14 @@ EVERY_LEAF = {
     ("ca", "verify"): "ca verify --dir ca --in c.json",
     ("validate", "cert"): "validate cert --in c.json --ca ca/ca_key.json --crl ca/crl.json",
     ("ca", "revoke"): "ca revoke --dir ca --serial 0x1",
-    ("attack",): "attack invalid-curve --seed 6 --g-budget 3,7",
     ("demo-all",): "demo-all --seed 7",
     ("find-curve",): "find-curve --seed 1 --min 100 --max 300",
 }
+ATTACK_RUNS = [
+    f"attack {name} --seed 6 --mode vulnerable"
+    + (" --g-budget 3,7" if name == "invalid-curve" else "")
+    for name in scenarios.SCENARIOS
+]
 
 
 def _leaf_parsers(parser, path=()):
@@ -653,7 +682,7 @@ def test_every_option_is_read(tmp_path, monkeypatch, capsys):
     # a handler that never reads an option's dest makes that option a no-op
     monkeypatch.chdir(tmp_path)
     leaves = dict(_leaf_parsers(build_parser()))
-    assert set(leaves) == set(EVERY_LEAF)
+    assert set(leaves) == set(EVERY_LEAF) | {("attack",)}
 
     class RecordingNamespace(argparse.Namespace):
         def __getattribute__(self, name):
@@ -661,7 +690,7 @@ def test_every_option_is_read(tmp_path, monkeypatch, capsys):
             return super().__getattribute__(name)
 
     unread = {}
-    for path, argv in EVERY_LEAF.items():
+    for path, argv in [*EVERY_LEAF.items(), *((("attack",), a) for a in ATTACK_RUNS)]:
         args = build_parser().parse_args(argv.split())
         if getattr(args, "curve", "") is None:
             args.curve = "toy17"
@@ -672,6 +701,6 @@ def test_every_option_is_read(tmp_path, monkeypatch, capsys):
         ]
         missing = [d for d in dests if d not in reads]
         if missing:
-            unread[path] = missing
+            unread[argv.split(" --")[0]] = missing
     capsys.readouterr()
     assert unread == {}
