@@ -226,6 +226,26 @@ class TestValidateCommand:
         report = json.loads(out)
         assert [c["name"] for c in report["checks"] if not c["passed"]] == ["on-curve"]
 
+    def test_pubkey_full_order_computation_failure_is_a_failed_check(self, run, tmp_path):
+        # (2, 3) lies on y^2 = x^3 + 1 over Z/45, where 11 * (2, 3) needs 1/18
+        curve = tmp_path / "q45.json"
+        curve.write_text(json.dumps(
+            {"q": "0x2d", "a": "0x0", "b": "0x1", "gx": "0x2", "gy": "0x3", "n": "0xb"}
+        ))
+        point = tmp_path / "pt.json"
+        point.write_text(json.dumps({"x": "0x2", "y": "0x3"}))
+        code, out, _ = run(
+            "validate", "pubkey", "--curve", str(curve), "--in", str(point), "--full",
+            "--output", "json",
+        )
+        assert code == 2
+        assert json.loads(out)["checks"][-1] == {
+            "name": "subgroup-order",
+            "passed": False,
+            "detail": "order computation failed: 18 is not invertible modulo 45",
+            "extended": True,
+        }
+
     def test_cert_checklist(self, run, keys, tmp_path):
         alice, _ = keys
         state = tmp_path / "ca"

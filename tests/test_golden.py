@@ -1,21 +1,27 @@
-"""Byte-identity gate: every attack scenario's JSON report, and each bundled
-curve's domain-parameter checklist, pinned by digest.
+"""Byte-identity gate: every attack scenario's JSON report, each bundled
+curve's domain-parameter checklist, and the public-key checklist of honest
+and companion-curve points, pinned by digest.
 
 `attack --output json` carries the recovered secrets, counters and the
 transcript, so any change to what a scenario computes or reports changes
 its bytes. The digests were captured from `hlslab attack <scenario> --curve
 <curve> --mode <mode> --seed 1 --output json` and `hlslab validate params
---curve <curve> --output json`; the same bytes come out of a separate
+--curve <curve> --output json` and `hlslab validate pubkey --curve <curve>
+--in <point> --output json [--full]`; the same bytes come out of a separate
 process as out of main() run in-process.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+from random import Random
 
 import pytest
 
-from hlslab.cli import main
+from hlslab.cli import load_curve, main
+from hlslab.curve import find_invalid_curve_point, point_to_obj
+from hlslab.hls import gen
 
 GOLDEN = {
     ("ephemeral-leak", "mid16", "hardened"): "cfea9ccc108e98c7254dbf1af92276aa793531c202b51ba4b187e36d28acf22c",
@@ -57,6 +63,20 @@ VALIDATE_PARAMS_GOLDEN = {
     "toy17": "0d9a56dec227de32795ba275a18f58de24398505fd4c0ce5f795806a412e2065",
 }
 
+# (curve, key, --full): "honest" is gen(e, Random(3)).pub, and "order-g" is
+# find_invalid_curve_point(e, g).point, a point of order g off the curve
+VALIDATE_PUBKEY_GOLDEN = {
+    ("mid16", "honest", False): "3da376b311a0e43e11e53534993de0757ed2e935bd431c7fbc85bbc7652f1ff8",
+    ("mid16", "honest", True): "0c6e9e1ec96755c16b7c5927c832326596d9d314f5c0771ce22ae49bbbfb1963",
+    ("mid16", "order-3", False): "883fa965bb7071fca0df3dec45d80528d950ea4314169a88effdb67f5aff1412",
+    ("mid16", "order-5", False): "883fa965bb7071fca0df3dec45d80528d950ea4314169a88effdb67f5aff1412",
+    ("mid16", "order-7", False): "883fa965bb7071fca0df3dec45d80528d950ea4314169a88effdb67f5aff1412",
+    ("secp256k1", "honest", False): "3da376b311a0e43e11e53534993de0757ed2e935bd431c7fbc85bbc7652f1ff8",
+    ("secp256k1", "honest", True): "0c6e9e1ec96755c16b7c5927c832326596d9d314f5c0771ce22ae49bbbfb1963",
+    ("toy17", "honest", False): "3da376b311a0e43e11e53534993de0757ed2e935bd431c7fbc85bbc7652f1ff8",
+    ("toy17", "honest", True): "0c6e9e1ec96755c16b7c5927c832326596d9d314f5c0771ce22ae49bbbfb1963",
+}
+
 
 def _run(argv):
     out = io.StringIO()
@@ -80,3 +100,18 @@ def test_validate_params_json_is_byte_identical(curve):
     code, digest = _run(["validate", "params", "--curve", curve, "--output", "json"])
     assert code == 0
     assert digest == VALIDATE_PARAMS_GOLDEN[curve]
+
+
+@pytest.mark.parametrize("curve,key,full", sorted(VALIDATE_PUBKEY_GOLDEN))
+def test_validate_pubkey_json_is_byte_identical(curve, key, full, tmp_path):
+    e = load_curve(curve)
+    if key == "honest":
+        point = gen(e, Random(3)).pub
+    else:
+        point = find_invalid_curve_point(e, int(key.removeprefix("order-"))).point
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(point_to_obj(point)))
+    argv = ["validate", "pubkey", "--curve", curve, "--in", str(path), "--output", "json"]
+    code, digest = _run(argv + (["--full"] if full else []))
+    assert code == (0 if key == "honest" else 2)
+    assert digest == VALIDATE_PUBKEY_GOLDEN[curve, key, full]
