@@ -320,13 +320,13 @@ def cmd_ca(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    if args.g_budget and args.which != "invalid-curve":
+    if args.g_budget is not None and args.which != "invalid-curve":
         raise UsageError("--g-budget applies only to attack invalid-curve")
     e = load_curve(args.curve)
     _gate_params(e, args)
     runner = SCENARIOS[args.which]
     kwargs = {}
-    if args.g_budget:
+    if args.g_budget is not None:
         kwargs["g_budget"] = [int(g, 0) for g in args.g_budget.split(",")]
     report = runner(e, Mode(args.mode), _rng(args), **kwargs)
     if args.output == "json":

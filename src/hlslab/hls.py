@@ -3,10 +3,10 @@ and the recipient's confirmation-tag oracle.
 
 Two modes share one algorithm. The vulnerable mode is the scheme as designed,
 weaknesses included; the hardened mode adds exactly five refusals: no caller
-supplied ephemerals, no zero bound hash, no identity shared point, no
-unvalidated recipient public key, and no unvalidated ephemeral public point.
-On honest inputs that pass every check, the two modes compute byte-identical
-results.
+supplied ephemerals, no zero bound hash, no identity shared point, and no
+recipient public key or ephemeral point that fails public_key_checks, which
+pki's public-key report and CA read too. On honest inputs that pass every
+check, the two modes compute byte-identical results.
 
 Sign equation: s = (d_A - h*r) mod n with h = H(M || x_R) mod n.
 Verification: s*G + h*R == U_A, equivalent to d_A == (s + h*r) mod n.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
+from typing import Iterator, Optional
 
 from .arith import hex_to_int, int_to_hex, require_keys
 from .curve import (
@@ -36,7 +36,9 @@ from .curve import (
 from .errors import (
     ForcedEphemeralError,
     HardenedRefusalError,
+    HlsLabError,
     InvalidEphemeralKeyError,
+    NotInvertibleError,
     PublicKeyInvalidError,
     ZeroHashError,
 )
@@ -60,6 +62,7 @@ __all__ = [
     "gen",
     "keypair_from_dict",
     "keypair_to_dict",
+    "public_key_checks",
     "signcrypt",
     "signcrypted_from_dict",
     "signcrypted_to_dict",
@@ -128,8 +131,7 @@ def signcrypt(
     biased ephemeral source; it may be 0, which produces R = O and s = d_A
     on the wire. The hardened mode refuses it outright, along with a zero
     bound hash and an identity shared point, and it refuses a recipient key
-    that is O, has a coordinate outside [0, q-1], does not satisfy e's
-    equation or has n * U_B != O, with PublicKeyInvalidError.
+    that fails public_key_checks with PublicKeyInvalidError.
     """
     if not 1 <= d_sender < e.n:
         raise ValueError(f"sender key must lie in [1, {e.n - 1}]")
@@ -155,19 +157,30 @@ def signcrypt(
     return SigncryptedText(ciphertext=ciphertext, ephemeral=ephemeral, signature=s)
 
 
+def public_key_checks(p: Point, e: CurveParams) -> Iterator[tuple[str, Optional[str]]]:
+    """The conditions on a public point (Antipa et al., PKC 2003), in order,
+    as (check name, failure text or None). Each check assumes the ones
+    before it passed, so readers stop at the first failure; an n * p that
+    cannot be computed (a composite q) fails subgroup-order.
+    """
+    yield "nonzero", "point is the identity" if p.is_infinity else None
+    in_range = 0 <= p.x < e.q and 0 <= p.y < e.q
+    yield "coordinate-range", None if in_range else "coordinates out of field range"
+    yield "on-curve", None if is_on_curve(p, e) else "point does not satisfy the curve equation"
+    try:
+        in_subgroup = scalar_mul(e.n, p, e).is_infinity
+    except HlsLabError as exc:
+        yield "subgroup-order", f"order computation failed: {exc}"
+    else:
+        yield "subgroup-order", None if in_subgroup else "point is not in the order-n subgroup"
+
+
 def _require_subgroup_point(
     p: Point, e: CurveParams, error: type[HardenedRefusalError], noun: str
 ) -> None:
-    # nonidentity, reduced coordinates, on e, and n * p == O; on a curve whose
-    # group is proven to have prime order n the last check costs nothing
-    if p.is_infinity:
-        raise error(f"{noun} point is the identity")
-    if not (0 <= p.x < e.q and 0 <= p.y < e.q):
-        raise error(f"{noun} coordinates out of field range")
-    if not is_on_curve(p, e):
-        raise error(f"{noun} point does not satisfy the curve equation")
-    if not scalar_mul(e.n, p, e).is_infinity:
-        raise error(f"{noun} point is not in the order-n subgroup")
+    for _, failure in public_key_checks(p, e):
+        if failure is not None:
+            raise error(f"{noun} {failure}")
 
 
 def validate_ephemeral_point(ephemeral: Point, e: CurveParams) -> None:
@@ -193,7 +206,10 @@ def _unsigncrypt(
     if not sigma.ephemeral.is_infinity and sigma.ephemeral.x >= 256 ** field_len(e.q):
         return None, key  # x_R has no field encoding, so no h binds it
     h = bound_hash(message, sigma.ephemeral, e)
-    check = scalar_mul_sum(sigma.signature, h, sigma.ephemeral, e)
+    try:
+        check = scalar_mul_sum(sigma.signature, h, sigma.ephemeral, e)
+    except NotInvertibleError:
+        return None, key  # s*G and an off-curve h*R share x: their sum is undefined
     return (message if check == pub_sender else None), key
 
 

@@ -2,7 +2,8 @@
 certificate validation, public-key validation, and domain-parameter
 validation. Every checklist returns a structured report rather than raising,
 so flawed inputs can be examined check by check; the same checklists are
-togglable off at the CA to reproduce the no-validation world.
+togglable off at the CA to reproduce the no-validation world. The
+public-key report reads hls.public_key_checks and ends at its first failure.
 
 The CA signs certificate bodies with a Schnorr-style signature over the same
 curve the lab already uses: commitment V = k*G, challenge
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from random import Random
 from typing import Iterable, Optional
 
@@ -36,7 +38,7 @@ from .errors import (
     PopRequiredError,
     PublicKeyInvalidError,
 )
-from .hls import KeyPair
+from .hls import KeyPair, public_key_checks
 from .primitives import field_len, hash_bytes, hash_to_scalar, int_to_bytes
 
 __all__ = [
@@ -212,7 +214,7 @@ class CertificateAuthority:
             if not verify_pop(subject, public_key, self.pub, pop, self.curve):
                 raise PopInvalidError(f"proof of possession for {subject!r} does not verify")
         if self.policy.require_pk_validation:
-            report = validate_public_key(public_key, self.curve)
+            report = validate_public_key(public_key, self.curve, full=True)
             if not report.ok:
                 raise PublicKeyInvalidError(
                     f"public key failed checks: {', '.join(report.failed_names())}"
@@ -274,49 +276,23 @@ def validate_certificate(
 
 
 def validate_public_key(u: Point, e: CurveParams, full: bool = False) -> ValidationReport:
-    """Public-key checklist: nonidentity, coordinate range, curve membership.
-
-    With full=True a subgroup-order check (n*U == O) is appended; it is
-    marked extended because it goes beyond the three documented conditions.
+    """Public-key checklist: hls.public_key_checks up to its first failure,
+    whose detail is the checklist's failure text. Only with full (as the CA
+    asks) does it reach subgroup-order (n*U == O), marked extended because
+    it goes beyond the three documented conditions.
     """
+    passed = {
+        "nonzero": "key is an affine point",
+        "coordinate-range": "coordinates are reduced field elements",
+        "on-curve": "point satisfies y^2 = x^3 + ax + b",
+        "subgroup-order": "n * U == O",
+    }
     checks = []
-    nonzero = not u.is_infinity
-    checks.append(
-        CheckResult(
-            "nonzero",
-            nonzero,
-            "key is an affine point" if nonzero else "key is the identity point",
-        )
-    )
-    if u.is_infinity:
-        in_range = True
-        range_detail = "identity point carries no coordinates"
-    else:
-        in_range = 0 <= u.x < e.q and 0 <= u.y < e.q
-        range_detail = (
-            "coordinates are reduced field elements"
-            if in_range
-            else f"coordinates not in [0, {e.q - 1}]"
-        )
-    checks.append(CheckResult("coordinate-range", in_range, range_detail))
-    on_curve = in_range and is_on_curve(u, e)
-    checks.append(
-        CheckResult(
-            "on-curve",
-            on_curve,
-            "point satisfies y^2 = x^3 + ax + b"
-            if on_curve
-            else "point does not satisfy the curve equation",
-        )
-    )
-    if full:
-        try:
-            order_ok = scalar_mul(e.n, u, e).is_infinity
-            detail = "n * U == O" if order_ok else "n * U != O (wrong subgroup)"
-        except HlsLabError as exc:
-            order_ok = False
-            detail = f"order computation failed: {exc}"
-        checks.append(CheckResult("subgroup-order", order_ok, detail, extended=True))
+    for name, failure in islice(public_key_checks(u, e), None if full else 3):
+        extended = name == "subgroup-order"
+        checks.append(CheckResult(name, failure is None, failure or passed[name], extended))
+        if failure is not None:
+            break
     return ValidationReport(tuple(checks))
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hlslab
-from hlslab import curve
+from hlslab import curve, hls, pki
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hlslab.__path__))
 
@@ -100,3 +100,16 @@ def test_only_the_public_boundary_builds_a_parameter_set():
     tree = ast.parse(Path(curve.__file__).read_text())
     assert _callers(tree, "CurveParams") == {"curve_from_dict", "search_prime_order_curve"}
     assert "_CompanionScan" not in _callers(tree, "scalar_mul")
+
+
+def test_one_definition_of_a_valid_public_key():
+    # the four conditions are tested only by hls.public_key_checks; the
+    # hardened refusals and the pki report read it and test nothing of their own
+    hls_tree = ast.parse(Path(hls.__file__).read_text())
+    pki_tree = ast.parse(Path(pki.__file__).read_text())
+    assert _callers(hls_tree, "is_on_curve") == {"public_key_checks"}
+    readers = {"_require_subgroup_point", "validate_public_key"}
+    for tree in (hls_tree, pki_tree):
+        for callee in ("is_on_curve", "scalar_mul"):
+            assert _callers(tree, callee) & readers == set(), callee
+    assert _callers(pki_tree, "is_on_curve") == {"validate_domain_params"}

@@ -17,8 +17,15 @@ import hlslab
 from conftest import DATA_DIR
 from hlslab import scenarios
 from hlslab.cli import build_parser, main
-from hlslab.curve import curve_to_dict, scalar_mul
-from hlslab.hls import keypair_from_dict, signcrypted_from_dict
+from hlslab.curve import curve_to_dict, find_invalid_curve_point, scalar_mul
+from hlslab.hls import (
+    KeyPair,
+    SigncryptedText,
+    keypair_from_dict,
+    keypair_to_dict,
+    signcrypted_from_dict,
+    signcrypted_to_dict,
+)
 from hlslab.primitives import Mode
 
 
@@ -189,6 +196,23 @@ class TestSigncryptPipeline:
         assert code == 0
         assert (tmp_path / "back.bin").read_bytes() == b"to bob"
 
+    def test_crafted_triple_with_undefined_check_sum_is_rejected(self, run, tmp_path, toy):
+        # s * G and h * W share x for this off-curve W (see test_hls)
+        files = {}
+        for name, d in (("alice", 3), ("bob", 7)):
+            files[name] = tmp_path / f"{name}.json"
+            kp = KeyPair(d, scalar_mul(d, toy.g, toy))
+            files[name].write_text(json.dumps(keypair_to_dict(kp)))
+        sigma = tmp_path / "sigma.json"
+        crafted = SigncryptedText(b"\x01", find_invalid_curve_point(toy, 3).point, 9)
+        sigma.write_text(json.dumps(signcrypted_to_dict(crafted)))
+        code, out, err = run(
+            "unsigncrypt", "--key", str(files["bob"]), "--sender", str(files["alice"]),
+            "--in", str(sigma),
+        )
+        assert (code, out) == (1, "")
+        assert err == "unsigncryption rejected the triple (verification failed)\n"
+
 
 class TestValidateCommand:
     def test_toy_params_pass_at_cli_default(self, run):
@@ -343,6 +367,20 @@ class TestCaCommand:
             "--pubkey", str(bad), "--require-pk-validation",
         )[0] == 2
 
+    def test_pk_validation_refuses_key_outside_the_subgroup(self, run, tmp_path):
+        # #E = 22 but n = 11: (2, 7) lies on the curve and outside <G>
+        curve = str(DATA_DIR / "bad_small_order.json")
+        state = tmp_path / "ca"
+        run("ca", "init", "--curve", curve, "--seed", "8", "--dir", str(state))
+        point = tmp_path / "pt.json"
+        point.write_text(json.dumps({"x": "0x2", "y": "0x7"}))
+        argv = ["ca", "issue", "--curve", curve, "--dir", str(state), "--subject", "Eve",
+                "--pubkey", str(point)]
+        assert run(*argv, "--out", str(tmp_path / "eve.json"))[0] == 0
+        code, out, err = run(*argv, "--require-pk-validation")
+        assert (code, out) == (2, "")
+        assert err == "refused: public key failed checks: subgroup-order\n"
+
     def test_concurrent_use_fails_fast(self, run, keys, tmp_path):
         alice, _ = keys
         state = tmp_path / "ca"
@@ -431,6 +469,12 @@ class TestAttackCommand:
         code, out, err = run("attack", "pair-scan", "--seed", "1", "--g-budget", "3,5")
         assert (code, out) == (3, "")
         assert err == "error: --g-budget applies only to attack invalid-curve\n"
+
+    @pytest.mark.parametrize("which", sorted(scenarios.SCENARIOS))
+    def test_empty_g_budget_is_refused(self, run, which):
+        code, out, err = run("attack", which, "--seed", "7", "--g-budget", "")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_unknown_scenario_is_usage_error(self, run):
         assert run("attack", "nonsense")[0] == 3

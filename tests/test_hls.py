@@ -26,6 +26,7 @@ from hlslab.errors import (
     ForcedEphemeralError,
     InvalidEphemeralKeyError,
     KeyControlError,
+    NotInvertibleError,
     PublicKeyInvalidError,
     ZeroHashError,
 )
@@ -34,6 +35,7 @@ from hlslab.hls import (
     KeyPair,
     Mode,
     SigncryptedText,
+    bound_hash,
     confirmation_oracle,
     gen,
     keypair_from_dict,
@@ -48,6 +50,7 @@ from hlslab.primitives import (
     derive_key,
     hash_to_scalar,
     mac,
+    stream_decrypt,
     stream_encrypt,
     x_coordinate_bytes,
 )
@@ -351,6 +354,26 @@ class TestUnreducedEphemeral:
         alice, bob, sigma = honest
         bad = self.shifted(sigma, 0, mid16.q)
         assert unsigncrypt(bad, bob.d, alice.pub, mid16, Mode.VULNERABLE) == b"unreduced"
+
+
+class TestUndefinedCheckSum:
+    # for the off-curve W of order 3, C = 01 and s = 9, s * G and h * W share
+    # x, so s * G + h * W has no chord: the triple fails verification
+    @pytest.fixture()
+    def crafted(self, toy):
+        return SigncryptedText(b"\x01", find_invalid_curve_point(toy, 3).point, 9)
+
+    def test_sum_is_undefined(self, toy, bob, crafted):
+        w = crafted.ephemeral
+        key = derive_key(scalar_mul(bob.d, w, toy), toy, Mode.VULNERABLE)
+        h = bound_hash(stream_decrypt(key, crafted.ciphertext), w, toy)
+        with pytest.raises(NotInvertibleError):
+            scalar_mul_sum(crafted.signature, h, w, toy)
+
+    def test_vulnerable_unsigncrypt_rejects(self, toy, alice, bob, crafted):
+        assert unsigncrypt(crafted, bob.d, alice.pub, toy, Mode.VULNERABLE) is None
+        policy = ConfirmPolicy.CONFIRM_AFTER_VERIFY
+        assert confirmation_oracle(crafted, bob.d, alice.pub, toy, b"c", policy) is None
 
 
 class TestKeyRangeChecks:

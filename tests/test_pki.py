@@ -12,7 +12,7 @@ import pytest
 from conftest import load_bad_fixture
 from hlslab.curve import INFINITY, CurveParams, Point, find_invalid_curve_point, scalar_mul
 from hlslab.errors import PopInvalidError, PopRequiredError, PublicKeyInvalidError
-from hlslab.hls import KeyPair, gen
+from hlslab.hls import KeyPair, gen, signcrypt
 from hlslab.pki import (
     CAPolicy,
     Certificate,
@@ -32,6 +32,7 @@ from hlslab.pki import (
     validate_public_key,
     verify_pop,
 )
+from hlslab.primitives import Mode
 
 NOW = 1_700_000_000
 LIFETIME = 365 * 86400
@@ -200,6 +201,17 @@ class TestPublicKeyPolicy:
         cert = ca.issue("Alice", alice.pub, NOW, LIFETIME)
         assert cert.subject == "Alice"
 
+    def test_validating_ca_refuses_key_outside_the_subgroup(self):
+        # #E = 22 but n = 11: (2, 7) lies on the curve and outside <G>
+        e = load_bad_fixture("bad_small_order")
+        policy = CAPolicy(require_pk_validation=True)
+        ca = CertificateAuthority(gen(e, Random(21)), e, policy=policy, rng=Random(22))
+        with pytest.raises(PublicKeyInvalidError, match="failed checks: subgroup-order$"):
+            ca.issue("Eve", Point(2, 7), NOW, LIFETIME)
+        # hardened signcrypt refuses the same key by the same check
+        with pytest.raises(PublicKeyInvalidError, match="not in the order-n subgroup"):
+            signcrypt(b"m", 1, Point(2, 7), e, Random(0), Mode.HARDENED)
+
 
 class TestValidatePublicKey:
     def test_honest_key_passes(self, toy, alice):
@@ -233,6 +245,25 @@ class TestValidatePublicKey:
         assert report.ok
         assert report.checks[3].name == "subgroup-order"
         assert report.checks[3].extended
+
+    @pytest.mark.parametrize(
+        "point,names,detail",
+        [
+            (INFINITY, ["nonzero"], "point is the identity"),
+            (Point(20, 1), ["nonzero", "coordinate-range"], "coordinates out of field range"),
+            (
+                Point(0, 7),
+                ["nonzero", "coordinate-range", "on-curve"],
+                "point does not satisfy the curve equation",
+            ),
+        ],
+        ids=["identity", "out-of-range", "off-curve"],
+    )
+    def test_full_report_ends_at_first_failure(self, toy, point, names, detail):
+        report = validate_public_key(point, toy, full=True)
+        assert [c.name for c in report.checks] == names
+        assert report.failed_names() == names[-1:]
+        assert report.checks[-1].detail == detail
 
     def test_full_catches_wrong_subgroup(self):
         # 20-point host curve, declared subgroup order 5; (3,4) has order 10
