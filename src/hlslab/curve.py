@@ -18,7 +18,7 @@ proves E(F_q) cyclic of order n, whatever cofactor the parameters declare.
 A point on such a curve has its k reduced mod n; multiples of G come from a
 table of fixed-base windows, and on a = 0 curves with q == n == 1 mod 3
 other multiples are split by the GLV endomorphism and taken by one
-interleaved width-5 NAF chain. Every other curve and point takes plain
+interleaved width-7 NAF chain. Every other curve and point takes plain
 double-and-add with k as given. b only picks the path, by telling whether
 G and the point lie on e; it never changes the result, because both paths
 compute the same group element, and a point off e (a companion-curve point
@@ -29,7 +29,7 @@ scalar_mul_sum(j, k, p, e) is j * G + k * p, the shape of both signature
 checks. It is point_add of two scalar_mul results, exceptions included; on
 a proven GLV curve with p on e it takes all four GLV halves in one chain.
 
-The GLV chains read the odd multiples P, 3P, ..., 15P of each point and
+The GLV chains read the odd multiples P, 3P, ..., 63P of each point and
 their negations from a table kept for the 32 points used last. A table is
 built only for a point that passed the gate above (p on e, group proven),
 so it holds multiples of a public point of the right group: a point off e,
@@ -432,30 +432,32 @@ def _glv_split(k: int, n: int, basis: _Basis) -> tuple[int, int]:
     return k - c1 * a1 - c2 * a2, -c1 * b1 - c2 * b2
 
 
-# The GLV path's table of odd multiples of a point holds P, 3P, ..., 15P,
-# then -15P, ..., -3P, -P, so that a width-5 NAF digit d reads entry d >> 1
-_ODD_MULTIPLES = 8
+# The GLV chains recode in width-7 NAF, and a point's table of odd multiples
+# holds P, 3P, ..., 63P, then -63P, ..., -3P, -P, so that a digit d reads
+# entry d >> 1
+_WNAF_WIDTH = 7
+_ODD_MULTIPLES = 1 << (_WNAF_WIDTH - 2)
 _OddTable = tuple[_Pair, ...]
 
 
-def _wnaf(k: int) -> list[int]:
-    """Width-5 non-adjacent form of k, least significant digit first.
+def _wnaf(k: int) -> Iterator[tuple[int, int]]:
+    """The nonzero digits of k's width-7 non-adjacent form, as (position, digit), lowest first.
 
-    k == sum(d * 2^i), every nonzero digit is odd with |d| < 16, and any two
-    nonzero digits are at least 5 places apart (Hankerson, Menezes and
-    Vanstone, Guide to Elliptic Curve Cryptography, Algorithm 3.35). A
-    negative k gives the digits of -k, negated.
+    k == sum(d * 2^i), every digit is odd with |d| < 64, and any two are at
+    least 7 places apart (Hankerson, Menezes and Vanstone, Guide to Elliptic
+    Curve Cryptography, Algorithm 3.35). A run of zeros is skipped by its
+    trailing-zero count. A negative k gives the digits of -k, negated.
     """
-    digits = []
+    i, half = 0, 1 << (_WNAF_WIDTH - 1)
     while k:
-        d = 0
-        if k & 1:
-            # k mod 32, taken in [-15, 15]
-            d = ((k + 16) & 31) - 16
-            k -= d
-        digits.append(d)
-        k >>= 1
-    return digits
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        i += zeros
+        # k mod 2^7, taken in [-63, 63]
+        d = ((k + half) & (2 * half - 1)) - half
+        yield i, d
+        k = (k - d) >> _WNAF_WIDTH
+        i += _WNAF_WIDTH
 
 
 @lru_cache(maxsize=32)
@@ -464,10 +466,11 @@ def _odd_multiples(p: _Affine, q: int, beta: int) -> tuple[_OddTable, _OddTable]
 
     p != O lies on a curve with GLV constants (so a == 0) and beta, whose
     group is proven cyclic of prime order n. Built with one affine doubling,
-    7 mixed additions of 2p and one batched inversion; phi(p)'s table is p's
-    with every x times beta. An entry is O (None) only when n <= 15 divides
-    its multiple; the two such curves with GLV constants (q == 7, n == 7 or
-    13) split every k < n into halves of -1, 0 and 1, so no digit reads one.
+    31 mixed additions of 2p and one batched inversion; phi(p)'s table is
+    p's with every x times beta. An entry is O (None) only when n <= 63
+    divides its multiple. No digit reads one: a digit is at most its half
+    |k_i| in size, and on every curve with GLV constants and n <= 63 (all
+    have q < 128) each k < n splits into halves under n / 6.
     """
     p = (p[0] % q, p[1] % q)
     two_p = _affine_add(p, p, q, 0)
@@ -481,35 +484,31 @@ def _odd_multiples(p: _Affine, q: int, beta: int) -> tuple[_OddTable, _OddTable]
 
 
 def _glv_mul(terms: tuple[tuple[int, _Affine], ...], glv: _Glv, n: int, q: int) -> _Pair:
-    """The sum of k * p over terms, by one interleaved width-5 NAF chain.
+    """The sum of k * p over terms, by one interleaved width-7 NAF chain.
 
     Every p lies on the a == 0 curve over F_q whose group _group has proven
     cyclic of prime order n, and every k is in [0, n). Each k is split as
     k1 + k2 * lam (Gallant, Lambert and Vanstone, CRYPTO 2001), so
     k * p == k1 * p + k2 * phi(p) with |k1|, |k2| about sqrt(n). The halves
-    of every term are recoded in width-5 NAF and walked together from the
+    of every term are recoded in width-7 NAF and walked together from the
     top digit (Moeller, "Algorithms for multi-exponentiation", SAC 2001):
     one chain of about log2(n) / 2 doublings, and one mixed addition of a
-    table entry per nonzero digit, about one in six. Signs live in the
+    table entry per nonzero digit, about one in eight. Signs live in the
     digits. Every point involved is on that curve, so an addition that meets
     its own operand doubles and one that meets its negation gives O, as the
     group law does.
     """
     beta, _, basis = glv
-    pieces = []
+    addends: dict[int, list[_Affine]] = {}
     for k, p in terms:
-        table, phi_table = _odd_multiples(p, q, beta)
-        k1, k2 = _glv_split(k, n, basis)
-        pieces += [(_wnaf(k1), table), (_wnaf(k2), phi_table)]
-    addends: list[list[_Affine]] = [[] for _ in range(max(len(d) for d, _ in pieces))]
-    for digits, table in pieces:
-        for i, d in enumerate(digits):
-            if d:
-                addends[i].append(table[d >> 1])
+        tables = _odd_multiples(p, q, beta)
+        for half, table in zip(_glv_split(k, n, basis), tables):
+            for i, d in _wnaf(half):
+                addends.setdefault(i, []).append(table[d >> 1])
     acc = _JACOBIAN_INFINITY
-    for row in reversed(addends):
+    for i in range(max(addends, default=0), -1, -1):
         acc = _jacobian_double(acc, q, 0)
-        for m in row:
+        for m in addends.get(i, ()):
             acc = _jacobian_add_affine(acc, m, q, 0)
     return _to_affine(acc, q)
 
@@ -556,8 +555,8 @@ def scalar_mul(k: int, p: Point, e: CurveParams) -> Point:
       doublings. When a == 0 and q == n == 1 mod 3, any other k * p is
       k1 * p + k2 * phi(p) with phi(x, y) = (beta * x, y), beta^3 == 1,
       and |k1|, |k2| about sqrt(n) (Gallant, Lambert and Vanstone, CRYPTO
-      2001), both halves recoded in width-5 NAF and taken by one chain with
-      half the doublings and an addition per six bits. Their odd multiples
+      2001), both halves recoded in width-7 NAF and taken by one chain with
+      half the doublings and an addition per eight bits. Their odd multiples
       come from a table kept for the 32 points used last; only a point that
       reached this branch gets one, so only public points of the proven
       group are kept, never k. Every other point takes double-and-add with
@@ -602,7 +601,7 @@ def scalar_mul_sum(j: int, k: int, p: Point, e: CurveParams) -> Point:
     point_add(scalar_mul(j, e.g, e), scalar_mul(k, p, e), e). When j and k
     are nonnegative, p != O lies on e, and e's group is proven cyclic of
     prime order n with GLV constants (see scalar_mul), j and k are reduced
-    mod n, and the GLV halves of both are taken by one interleaved width-5
+    mod n, and the GLV halves of both are taken by one interleaved width-7
     NAF chain: the doublings of one multiplication instead of two. The
     table of G's odd multiples is kept like any other point's. Every other
     input (a point off e, a curve without the proof or without GLV, a

@@ -8,13 +8,16 @@ public-key report reads hls.public_key_checks and ends at its first failure.
 The CA signs certificate bodies with a Schnorr-style signature over the same
 curve the lab already uses: commitment V = k*G, challenge
 e = H(V || body) mod n, response z = (k - e*d) mod n, verified by recomputing
-the challenge from z*G + e*U.
+the challenge from z*G + e*U. That verdict reads public data only, and it is
+kept for the 64 (body, signature, key, curve) checked last; a certificate's
+expiry and revocation are read afresh on every validation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import islice
 from random import Random
 from typing import Iterable, Optional
@@ -87,6 +90,13 @@ def schnorr_sign(body: bytes, d: int, e: CurveParams, rng: Random) -> SchnorrSig
 def schnorr_verify(body: bytes, sig: SchnorrSig, pub: Point, e: CurveParams) -> bool:
     if not (0 <= sig.e < e.n and 0 <= sig.z < e.n):
         return False
+    return _schnorr_verdict(body, sig, pub, e)
+
+
+@lru_cache(maxsize=64)
+def _schnorr_verdict(body: bytes, sig: SchnorrSig, pub: Point, e: CurveParams) -> bool:
+    # z * G + e * U recomputed once per (body, signature, key, curve) among
+    # the 64 checked last; every argument is public
     commitment = scalar_mul_sum(sig.z, sig.e, pub, e)
     return sig.e == hash_to_scalar(_point_bytes(commitment, e.q) + body, e.n)
 

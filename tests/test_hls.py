@@ -513,8 +513,8 @@ class TestSecp256k1PointTables:
 
             monkeypatch.setattr(curve_module, name, counted)
         session()
-        assert counts["_jacobian_add_affine"] <= 375
-        assert counts["_jacobian_double"] <= 635
+        assert counts["_jacobian_add_affine"] <= 325
+        assert counts["_jacobian_double"] <= 630
         assert counts["mod_inv"] <= 8
 
 

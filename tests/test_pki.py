@@ -5,6 +5,7 @@ inline) were constructed by direct arithmetic and verified by an independent
 checker script; each must fail exactly one domain check.
 """
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -18,6 +19,7 @@ from hlslab.pki import (
     Certificate,
     CertificateAuthority,
     SchnorrSig,
+    _schnorr_verdict,
     cert_from_dict,
     cert_to_dict,
     certificate_body,
@@ -74,6 +76,77 @@ class TestSchnorr:
         kp = gen(secp256k1, Random(27))
         sig = schnorr_sign(b"large scale", kp.d, secp256k1, Random(28))
         assert schnorr_verify(b"large scale", sig, kp.pub, secp256k1)
+
+
+class TestVerdictCache:
+    """The Schnorr verdict is kept per (body, signature, key, curve); no
+    changed input, out-of-range component, expiry or revocation is read
+    from an earlier call."""
+
+    @pytest.fixture()
+    def mid_ca(self, mid16):
+        _schnorr_verdict.cache_clear()
+        return CertificateAuthority(keypair=gen(mid16, Random(40)), curve=mid16, rng=Random(41))
+
+    def test_cache_is_bounded(self):
+        assert _schnorr_verdict.cache_info().maxsize == 64
+
+    def test_changed_copies_of_a_verified_certificate_are_refused(self, mid16, mid_ca):
+        owner, other = gen(mid16, Random(42)), gen(mid16, Random(43))
+        cert = mid_ca.issue("Alice", owner.pub, NOW, LIFETIME)
+        assert validate_certificate(cert, mid_ca.pub, NOW, mid_ca.crl, mid16).ok
+        copies = [
+            replace(cert, subject="Mallory"),
+            replace(cert, not_after=cert.not_after + 1),
+            replace(cert, public_key=other.pub),
+        ]
+        for copy in copies:
+            report = validate_certificate(copy, mid_ca.pub, NOW, mid_ca.crl, mid16)
+            assert report.failed_names() == ["signature"], copy
+        assert validate_certificate(cert, mid_ca.pub, NOW, mid_ca.crl, mid16).ok
+
+    def test_out_of_range_components_of_a_verified_signature_fail(self, mid16):
+        kp = gen(mid16, Random(44))
+        sig = schnorr_sign(b"body", kp.d, mid16, Random(45))
+        assert schnorr_verify(b"body", sig, kp.pub, mid16)
+        n = mid16.n
+        shifted = [(sig.e + n, sig.z), (sig.e, sig.z + n), (sig.e - n, sig.z), (sig.e, sig.z - n)]
+        for e, z in shifted:
+            assert not schnorr_verify(b"body", SchnorrSig(e, z), kp.pub, mid16), (e, z)
+
+    def test_cached_verdicts_equal_fresh_ones(self, mid16):
+        rng = Random(46)
+        keys = [gen(mid16, rng) for _ in range(4)]
+        verdicts = []
+        for i in range(200):
+            kp = keys[i % 4]
+            body = rng.randbytes(rng.randrange(1, 40))
+            sig = schnorr_sign(body, kp.d, mid16, rng)
+            forgery = i % 4
+            if forgery == 1:
+                body += b"!"
+            elif forgery == 2:
+                sig = SchnorrSig(sig.e, (sig.z + rng.randrange(1, mid16.n)) % mid16.n)
+            elif forgery == 3:
+                sig = SchnorrSig(rng.randrange(mid16.n), rng.randrange(mid16.n))
+            args = (body, sig, kp.pub, mid16)
+            first = schnorr_verify(*args)
+            hits = _schnorr_verdict.cache_info().hits
+            assert schnorr_verify(*args) == first
+            assert _schnorr_verdict.cache_info().hits == hits + 1
+            verdicts.append((args, first))
+            assert first == (forgery == 0), i
+        _schnorr_verdict.cache_clear()
+        assert [schnorr_verify(*args) for args, _ in verdicts] == [v for _, v in verdicts]
+
+    def test_expiry_and_revocation_are_read_on_every_call(self, mid16, mid_ca):
+        cert = mid_ca.issue("Alice", gen(mid16, Random(47)).pub, NOW, LIFETIME)
+        assert validate_certificate(cert, mid_ca.pub, NOW, mid_ca.crl, mid16).ok
+        late = validate_certificate(cert, mid_ca.pub, NOW + LIFETIME + 1, mid_ca.crl, mid16)
+        assert late.failed_names() == ["expiry"]
+        mid_ca.revoke(cert.serial)
+        report = validate_certificate(cert, mid_ca.pub, NOW, mid_ca.crl, mid16)
+        assert report.failed_names() == ["revocation"]
 
 
 class TestCertificateBody:

@@ -7,7 +7,7 @@ or the type and message of what it raised) must be double-and-add's for
 every k in [0, 4n]. A second test runs the GLV split on every a = 0 curve
 of prime order over a small q == 1 mod 3, where its lattice basis is tiny.
 scalar_mul_sum must give point_add of two scalar_mul results, exceptions
-included, on both kinds of curve, and the width-5 NAF recoding behind the
+included, on both kinds of curve, and the width-7 NAF recoding behind the
 GLV chain must sum back to its scalar with sparse odd digits.
 
 Hypothesis is a test-only dependency (the `test` extra); without it this
@@ -151,9 +151,8 @@ def test_scalar_mul_sum_matches_point_add_of_products(data):
 @SETTINGS
 @given(st.integers(-(1 << 300), 1 << 300))
 def test_wnaf_digits(k):
-    digits = _wnaf(k)
-    assert sum(d << i for i, d in enumerate(digits)) == k
-    assert not digits or digits[-1] != 0
-    nonzero = [i for i, d in enumerate(digits) if d]
-    assert all(digits[i] % 2 == 1 and abs(digits[i]) < 16 for i in nonzero)
-    assert all(later - earlier >= 5 for earlier, later in zip(nonzero, nonzero[1:]))
+    digits = list(_wnaf(k))
+    assert sum(d << i for i, d in digits) == k
+    assert all(d % 2 == 1 and abs(d) < 64 for _, d in digits)
+    positions = [i for i, _ in digits]
+    assert all(later - earlier >= 7 for earlier, later in zip(positions, positions[1:]))
