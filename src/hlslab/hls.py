@@ -13,12 +13,18 @@ Verification: s*G + h*R == U_A, equivalent to d_A == (s + h*r) mod n.
 Verification failure is reported as the value None (the reject symbol), never
 as an exception; exceptions are reserved for precondition refusals so callers
 can tell "blocked by validation" apart from "signature did not verify".
+
+The verdict of s*G + h*R == U_A is kept for the 64 (s, h, R, U_A, curve)
+checked last, so confirming a triple after unsigncrypting it runs no second
+sum. It holds no key: s and R come from the wire, U_A is public, and for an
+accepted triple h*R = U_A - s*G fixes h. d_B*R is derived on every call.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Iterator, Optional
 
@@ -207,10 +213,19 @@ def _unsigncrypt(
         return None, key  # x_R has no field encoding, so no h binds it
     h = bound_hash(message, sigma.ephemeral, e)
     try:
-        check = scalar_mul_sum(sigma.signature, h, sigma.ephemeral, e)
+        verified = _hls_verdict(sigma.signature, h, sigma.ephemeral, pub_sender, e)
     except NotInvertibleError:
         return None, key  # s*G and an off-curve h*R share x: their sum is undefined
-    return (message if check == pub_sender else None), key
+    return (message if verified else None), key
+
+
+@lru_cache(maxsize=64)
+def _hls_verdict(
+    signature: int, h: int, ephemeral: Point, pub_sender: Point, e: CurveParams
+) -> bool:
+    # s * G + h * R == U_A once per (s, h, R, U_A, curve) among the 64 checked
+    # last; no argument is a key, and d_B * R is still computed on every call
+    return scalar_mul_sum(signature, h, ephemeral, e) == pub_sender
 
 
 def unsigncrypt(
@@ -224,6 +239,8 @@ def unsigncrypt(
 
     The hardened mode validates R before deriving anything from it. The
     vulnerable mode computes d_B * R for whatever R arrived, on-curve or not.
+    The verdict of s * G + h * R == U_A is kept for the 64 (s, h, R, U_A,
+    curve) checked last; none of them is a key, and d_B * R is recomputed.
     """
     return _unsigncrypt(sigma, d_recipient, pub_sender, e, mode)[0]
 
@@ -243,7 +260,8 @@ def confirmation_oracle(
     key. CONFIRM_AFTER_VERIFY answers only when unsigncryption accepts,
     returning None otherwise. HARDENED validates R (raising on refusal) and
     then behaves like CONFIRM_AFTER_VERIFY in hardened mode. Either way the
-    tag is keyed by the session key unsigncryption derived.
+    tag is keyed by the session key unsigncryption derived, and the verdict
+    unsigncrypt kept for the triple is reused; d_B * R is recomputed.
     """
     if policy is ConfirmPolicy.CONFIRM_ALWAYS:
         shared = scalar_mul(d_recipient, sigma.ephemeral, e)

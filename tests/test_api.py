@@ -135,3 +135,48 @@ def test_traced_names_are_plain_module_functions(name):
     module = importlib.import_module(f"hlslab.{layer}")
     fn = getattr(module, attr)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
+# Every cache in the package decorates a private module-level function, is
+# bounded, and is keyed by no private key or session secret: a cache keeps
+# only verdicts and tables computed from public values
+CACHE_DECORATORS = {"lru_cache", "cache"}
+SECRET_PARAMETERS = {"d", "d_sender", "d_recipient", "key", "shared", "forced_r"}
+
+
+def _cache_reference(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in CACHE_DECORATORS
+    return isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS
+
+
+def _cached_functions() -> tuple[int, list]:
+    # (every reference to a cache decorator, the module-level functions it decorates)
+    references, cached = 0, []
+    for path in sorted(Path(hlslab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        references += sum(_cache_reference(node) for node in ast.walk(tree))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if _cache_reference(target):
+                        cached.append((f"{path.stem}.{node.name}", node, decorator))
+    return references, cached
+
+
+def test_every_cache_is_private_bounded_and_keyed_by_public_values():
+    references, cached = _cached_functions()
+    assert {"hls._hls_verdict", "pki._schnorr_verdict"} <= {name for name, _, _ in cached}
+    assert references == len(cached), "a cache outside a module-level decorator"
+    for name, fn, decorator in cached:
+        assert fn.name.startswith("_"), name
+        assert isinstance(decorator, ast.Call), name
+        sizes = [kw.value for kw in decorator.keywords if kw.arg == "maxsize"]
+        sizes += decorator.args[:1]
+        assert len(sizes) == 1 and isinstance(sizes[0], ast.Constant), name
+        assert type(sizes[0].value) is int, name
+        args = fn.args
+        parameters = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        parameters |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+        assert parameters & SECRET_PARAMETERS == set(), name

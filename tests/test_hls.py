@@ -35,6 +35,7 @@ from hlslab.hls import (
     KeyPair,
     Mode,
     SigncryptedText,
+    _hls_verdict,
     bound_hash,
     confirmation_oracle,
     gen,
@@ -375,6 +376,13 @@ class TestUndefinedCheckSum:
         policy = ConfirmPolicy.CONFIRM_AFTER_VERIFY
         assert confirmation_oracle(crafted, bob.d, alice.pub, toy, b"c", policy) is None
 
+    def test_rejected_on_every_call(self, toy, alice, bob, crafted):
+        # NotInvertibleError passes through the verdict cache, which keeps nothing
+        _hls_verdict.cache_clear()
+        for _ in range(2):
+            assert unsigncrypt(crafted, bob.d, alice.pub, toy, Mode.VULNERABLE) is None
+        assert _hls_verdict.cache_info().currsize == 0
+
 
 class TestKeyRangeChecks:
     def test_signcrypt_sender_key(self, toy, bob):
@@ -439,7 +447,8 @@ class TestConfirmationOracle:
         assert result is not None
 
     def test_hardened_confirm_multiplies_no_more_than_unsigncrypt(self, mid16, monkeypatch):
-        # the tag is keyed by the session key unsigncryption derived; d_B * R is not redone
+        # the tag is keyed by the session key unsigncryption derived, and the
+        # confirm path reads unsigncrypt's kept verdict; d_B * R is redone
         rng = Random(5)
         sender, recipient = gen(mid16, rng), gen(mid16, rng)
         sigma = signcrypt(b"counted", sender.d, recipient.pub, mid16, rng, Mode.HARDENED)
@@ -452,18 +461,118 @@ class TestConfirmationOracle:
 
             return counted
 
+        def confirm():
+            calls.clear()
+            return confirmation_oracle(
+                sigma, recipient.d, sender.pub, mid16, b"c", ConfirmPolicy.HARDENED
+            )
+
         # n * R, d_B * R, and s * G + h * R in one call
         monkeypatch.setattr("hlslab.hls.scalar_mul", counting(scalar_mul))
         monkeypatch.setattr("hlslab.hls.scalar_mul_sum", counting(scalar_mul_sum))
+        _hls_verdict.cache_clear()
         assert unsigncrypt(sigma, recipient.d, sender.pub, mid16, Mode.HARDENED) == b"counted"
-        unsigncrypt_calls = len(calls)
-        calls.clear()
-        result = confirmation_oracle(
-            sigma, recipient.d, sender.pub, mid16, b"c", ConfirmPolicy.HARDENED
-        )
-        assert len(calls) == unsigncrypt_calls == 3
+        assert len(calls) == 3
+        # n * R and d_B * R; the sum's verdict is unsigncrypt's
+        result = confirm()
+        assert len(calls) == 2
+        _hls_verdict.cache_clear()
+        assert confirm() == result
+        assert len(calls) == 3
         key = derive_key(scalar_mul(recipient.d, sigma.ephemeral, mid16), mid16, Mode.HARDENED)
         assert result == (b"c", mac(key, b"c"))
+
+
+class TestVerdictCache:
+    """The verdict of s * G + h * R == U_A is kept per (s, h, R, U_A, curve);
+    no changed triple, other sender key or skipped refusal is read from an
+    earlier call."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        _hls_verdict.cache_clear()
+
+    @pytest.fixture()
+    def mid_parties(self, mid16):
+        rng = Random(50)
+        return gen(mid16, rng), gen(mid16, rng), gen(mid16, rng)
+
+    @staticmethod
+    def changed_copies(sigma, other_ephemeral, n):
+        flipped = bytes([sigma.ciphertext[0] ^ 1]) + sigma.ciphertext[1:]
+        return [
+            dataclasses.replace(sigma, signature=(sigma.signature + 1) % n),
+            dataclasses.replace(sigma, ciphertext=flipped),  # another M, so another h
+            dataclasses.replace(sigma, ephemeral=other_ephemeral),
+        ]
+
+    def test_cache_is_bounded(self):
+        assert _hls_verdict.cache_info().maxsize == 64
+
+    def test_cached_verdicts_equal_fresh_ones(self, mid16, mid_parties):
+        sender, recipient, other = mid_parties
+        rng = Random(51)
+        verdicts = []
+        for i in range(200):
+            message = rng.randbytes(rng.randrange(1, 40))
+            sigma = signcrypt(message, sender.d, recipient.pub, mid16, rng)
+            pub_sender = other.pub if i % 5 == 4 else sender.pub
+            if i % 5 in (1, 2, 3):
+                sigma = self.changed_copies(sigma, gen(mid16, rng).pub, mid16.n)[i % 5 - 1]
+            args = (sigma, recipient.d, pub_sender, mid16)
+            first = unsigncrypt(*args)
+            hits = _hls_verdict.cache_info().hits
+            assert unsigncrypt(*args) == first
+            assert _hls_verdict.cache_info().hits == hits + 1
+            assert (first == message) == (i % 5 == 0), i
+            verdicts.append((args, first))
+        _hls_verdict.cache_clear()
+        assert [unsigncrypt(*args) for args, _ in verdicts] == [v for _, v in verdicts]
+
+    def test_changed_copies_of_a_verified_triple_are_refused(self, mid16, mid_parties):
+        sender, recipient, other = mid_parties
+        rng = Random(52)
+        sigma = signcrypt(b"verified", sender.d, recipient.pub, mid16, rng)
+        assert unsigncrypt(sigma, recipient.d, sender.pub, mid16) == b"verified"
+        policy = ConfirmPolicy.CONFIRM_AFTER_VERIFY
+        copies = self.changed_copies(sigma, other.pub, mid16.n)
+        candidates = [(copy, sender.pub) for copy in copies] + [(sigma, other.pub)]
+        for copy, pub_sender in candidates:
+            assert unsigncrypt(copy, recipient.d, pub_sender, mid16) is None, copy
+            assert confirmation_oracle(copy, recipient.d, pub_sender, mid16, b"c", policy) is None
+        assert confirmation_oracle(sigma, recipient.d, sender.pub, mid16, b"c", policy)
+
+    def test_hardened_refuses_an_off_curve_r_vulnerable_accepted(self, mid16, mid_parties):
+        # R = W of order 3 off the curve and 3 | h, so h * W = O and s = d_A
+        # verifies in vulnerable mode
+        sender, recipient, _ = mid_parties
+        w = find_invalid_curve_point(mid16, 3).point
+        key = derive_key(scalar_mul(recipient.d, w, mid16), mid16, Mode.VULNERABLE)
+        message = next(
+            m for m in (b"m%d" % i for i in range(100)) if bound_hash(m, w, mid16) % 3 == 0
+        )
+        crafted = SigncryptedText(stream_encrypt(key, message), w, sender.d)
+        assert unsigncrypt(crafted, recipient.d, sender.pub, mid16) == message
+        assert _hls_verdict.cache_info().currsize == 1
+        with pytest.raises(InvalidEphemeralKeyError, match="curve equation"):
+            unsigncrypt(crafted, recipient.d, sender.pub, mid16, Mode.HARDENED)
+        with pytest.raises(InvalidEphemeralKeyError, match="curve equation"):
+            confirmation_oracle(
+                crafted, recipient.d, sender.pub, mid16, b"c", ConfirmPolicy.HARDENED
+            )
+
+    def test_secp256k1_forged_signature_after_a_kept_verdict(self, secp256k1):
+        e = secp256k1
+        rng = Random(53)
+        sender, recipient = gen(e, rng), gen(e, rng)
+        sigma = signcrypt(b"session", sender.d, recipient.pub, e, rng, Mode.HARDENED)
+        assert unsigncrypt(sigma, recipient.d, sender.pub, e, Mode.HARDENED) == b"session"
+        policy = ConfirmPolicy.HARDENED
+        assert confirmation_oracle(sigma, recipient.d, sender.pub, e, b"c", policy)
+        assert _hls_verdict.cache_info().hits == 1
+        forged = dataclasses.replace(sigma, signature=(sigma.signature + 1) % e.n)
+        assert unsigncrypt(forged, recipient.d, sender.pub, e, Mode.HARDENED) is None
+        assert confirmation_oracle(forged, recipient.d, sender.pub, e, b"c", policy) is None
 
 
 class TestSecp256k1PointTables:
@@ -475,6 +584,7 @@ class TestSecp256k1PointTables:
         sender, recipient = gen(e, rng), gen(e, rng)
         sigma = signcrypt(b"tables", sender.d, recipient.pub, e, rng, Mode.VULNERABLE)
         _odd_multiples.cache_clear()
+        _hls_verdict.cache_clear()
         assert unsigncrypt(sigma, recipient.d, sender.pub, e) == b"tables"
         # R's table and G's
         built = _odd_multiples.cache_info()
@@ -513,9 +623,9 @@ class TestSecp256k1PointTables:
 
             monkeypatch.setattr(curve_module, name, counted)
         session()
-        assert counts["_jacobian_add_affine"] <= 325
-        assert counts["_jacobian_double"] <= 630
-        assert counts["mod_inv"] <= 8
+        assert counts["_jacobian_add_affine"] <= 255
+        assert counts["_jacobian_double"] <= 500
+        assert counts["mod_inv"] <= 7
 
 
 class TestSerialization:
