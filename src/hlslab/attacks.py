@@ -103,15 +103,16 @@ def recover_sender_key(
 
 @dataclass(frozen=True)
 class PairTable:
-    """Precomputed (x_R -> r) pairs, the attacker's stash of ephemerals.
+    """Precomputed (x_R -> (r, y_R)) pairs, the attacker's stash of ephemerals.
 
     Models both the precomputation scenario and a biased ephemeral source:
     whoever can enumerate the scalars a sender will draw simply tabulates
-    them. Keyed by x-coordinate, so a lookup may return n - r instead of r;
-    match() resolves which of the two reproduces the intercepted point.
+    them. Keyed by x-coordinate, which r * G shares with (n - r) * G; match()
+    answers r for the point kept beside it with no multiplication, and tries
+    n - r for any other point with that x.
     """
 
-    entries: dict[int, int]
+    entries: dict[int, tuple[int, int]]
 
     @classmethod
     def build(cls, scalars: Iterable[int], e: CurveParams) -> "PairTable":
@@ -119,21 +120,19 @@ class PairTable:
         for r in scalars:
             p = scalar_mul(r, e.g, e)
             if not p.is_infinity:
-                entries[p.x] = r
+                entries[p.x] = (r, p.y)
         return cls(entries)
 
     def match(self, ephemeral: Point, e: CurveParams) -> Optional[int]:
-        if ephemeral.is_infinity:
+        if ephemeral.is_infinity or ephemeral.x not in self.entries:
             return None
-        r = self.entries.get(ephemeral.x)
-        if r is None:
-            return None
-        if scalar_mul(r, e.g, e) == ephemeral:
+        r, y = self.entries[ephemeral.x]
+        if ephemeral.y == y:
             return r
+        # off a group of order n (a composite q, a wrong n) the other point
+        # with this x need not be (n - r) * G, so that is multiplied out
         alt = (e.n - r) % e.n
-        if scalar_mul(alt, e.g, e) == ephemeral:
-            return alt
-        return None
+        return alt if scalar_mul(alt, e.g, e) == ephemeral else None
 
 
 def recover_ephemeral(d_sender: int, s: int, h: int, n: int) -> int:

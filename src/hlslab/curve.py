@@ -5,9 +5,10 @@ y^2 = x^3 + ax + b' for some b' != b is processed by the same formulas,
 silently moving the computation into the group of the wrong curve. The
 signatures show it. The group law (written once, as _affine_add, whose
 shared-x rules the Jacobian formulas follow), the multiplications, their
-tables and the point count are private functions of the field size q, the
-coefficient a and affine points as integer pairs (x, y), None for O; only
-the count is also given b, to find the points it counts. Only point_add,
+tables, the point count and the companion-curve scan are private functions
+of the field size q, the coefficient a and affine points as integer pairs
+(x, y), None for O; only the count and the scan are also given b, to find
+the points they count and to skip the curve itself. Only point_add,
 scalar_mul, scalar_mul_sum, find_invalid_curve_point and
 search_prime_order_curve wrap and unwrap Points. Keep it that way.
 
@@ -43,9 +44,11 @@ baby-step giant-step over the Hasse interval, in O(q^(1/4)) kernel
 additions and one double-and-add, and it finds points by Euler's criterion
 and a modular square root, so nothing of size q is built. A singular
 curve's count has a closed form, and only the rare curve whose first points
-leave the count open (tiny fields) is counted point by point, in O(q). On
-a = 0 the scan counts one companion curve per twist class of b', at most
-six in all, since isomorphic curves have equal orders.
+leave the count open (tiny fields) is counted point by point, in O(q). The
+scan keeps the companion orders N' per (q, a) in _companion_orders, for the
+four (q, a) used last, and its answers per (q, a, b, g) in _companion_point,
+for the 64 used last. On a = 0 it counts one companion curve per twist class
+of b', at most six in all, since isomorphic curves have equal orders.
 
 Points deliberately carry no curve reference and are never checked against
 any equation on construction, because off-curve points are first-class
@@ -806,129 +809,101 @@ _PROBES = 40
 _PROBE_DRAWS = 16 * _PROBES
 
 
-class _CompanionScan:
-    """The companion curves of one curve, counted once each by ascending b'.
-
-    counted holds (b', N') for every b' counted so far. A prime is answered
-    from those first, and the scan resumes at next_b only when none serves.
-
-    When a == 0, y^2 = x^3 + b' and y^2 = x^3 + u^6 b' are isomorphic by
-    (x, y) -> (u^2 x, u^3 y), so N' depends only on the class of b' in
-    F_q* / (F_q*)^6, of which there are twists = gcd(6, q - 1), keyed by
-    b'^((q-1)/twists) (Silverman, The Arithmetic of Elliptic Curves, section
-    X.5). twist_orders holds N' per class: one b' per class is counted, and
-    once every class is, a prime dividing no N' is refused at once.
-    """
-
-    def __init__(self, e: CurveParams) -> None:
-        self.e = e
-        self.counted: list[tuple[int, int]] = []
-        self.next_b = 1
-        self.found: dict[int, InvalidCurvePoint] = {}
-        self.twists = gcd(6, e.q - 1) if e.a == 0 else None
-        self.twist_orders: dict[int, int] = {}
-
-    def _count_next(self) -> bool:
-        """Count the next companion curve; False once every b' in [1, q-1] is counted."""
-        e = self.e
-        while self.next_b < e.q:
-            b_prime = self.next_b
-            self.next_b += 1
-            if b_prime == e.b or is_singular(e.q, e.a, b_prime):
-                continue
-            if self.twists is None:
-                n_prime = _group_order(e.q, e.a, b_prime)
-            else:
-                twist = pow(b_prime, (e.q - 1) // self.twists, e.q)
-                n_prime = self.twist_orders.get(twist)
-                if n_prime is None:
-                    n_prime = self.twist_orders[twist] = _group_order(e.q, e.a, b_prime)
-            self.counted.append((b_prime, n_prime))
-            return True
-        return False
-
-    def _rules_out(self, g: int) -> bool:
-        # no multiple of g lies in the Hasse interval, which holds every
-        # nonsingular N', or every twist is counted and g divides none of
-        # their orders
-        q, bound = self.e.q, isqrt(4 * self.e.q)
-        return (q + 1 + bound) // g * g < q + 1 - bound or (
-            len(self.twist_orders) == self.twists
-            and all(n_prime % g for n_prime in self.twist_orders.values())
-        )
-
-    def point_of_order(self, g: int) -> InvalidCurvePoint:
-        hit = self.found.get(g)
-        if hit is not None:
-            return hit
-        i = 0
-        while i < len(self.counted) or (not self._rules_out(g) and self._count_next()):
-            b_prime, n_prime = self.counted[i]
-            i += 1
-            if n_prime % g:
-                continue
-            w = self._point(b_prime, n_prime, g)
-            if w is not None:
-                self.found[g] = InvalidCurvePoint(b_prime=b_prime, point=_from_pair(w), order=g)
-                return self.found[g]
-        raise NotFoundError(f"no companion curve over F_{self.e.q} has a subgroup of order {g}")
-
-    def _point(self, b_prime: int, n_prime: int, g: int) -> _Pair:
-        """The first (N'/g) * P != O over the b' curve's points P by ascending x, or None."""
-        e = self.e
-        k = n_prime // g
-        # a non-cyclic g-part needs the whole g-torsion over F_q, hence g | q - 1
-        # (Weil pairing) and g^2 | N'; only then can every product be O
-        if (e.q - 1) % g == 0 and n_prime % (g * g) == 0 and not self._probe(b_prime, k):
-            return None
-        for p in _affine_points(e.q, e.a, b_prime):
-            w = _double_and_add(k, p, e.q, e.a)
-            # g is prime, so w != O has order exactly g
-            if w is not None:
-                return w
-        return None
-
-    def _probe(self, b_prime: int, k: int) -> bool:
-        """False when _PROBES seeded uniform points P of the b' curve all give k * P == O."""
-        e = self.e
-        rng = Random(f"{e.q}:{e.a}:{b_prime}:{k}")
-        probes = 0
-        for _ in range(_PROBE_DRAWS):
-            x = rng.randrange(e.q)
-            y = _square_root((x * x * x + e.a * x + b_prime) % e.q, e.q)
-            # an x with two points is kept on every draw and one with a single
-            # point (y = 0) on half of them, so every affine point is equally
-            # likely; P and -P give O together, so which root is taken is moot
-            if y is None or (y == 0 and rng.getrandbits(1)):
-                continue
-            if _double_and_add(k, (x, y), e.q, e.a) is not None:
-                return True
-            probes += 1
-            if probes == _PROBES:
-                return False
-        # too few points drawn to rule the curve out: let the walk decide
-        return True
-
-
 @lru_cache(maxsize=4)
-def _companion_scan(e: CurveParams) -> _CompanionScan:
-    return _CompanionScan(e)
+def _companion_orders(q: int, a: int) -> dict[int, int]:
+    """The orders N' of the companion curves y^2 = x^3 + ax + b' over F_q counted so far.
+
+    _companion_point fills it, keyed by b'. N' never reads b, so the curves
+    that differ only in b share it. When a == 0, y^2 = x^3 + b' and
+    y^2 = x^3 + u^6 b' are isomorphic by (x, y) -> (u^2 x, u^3 y), so N'
+    depends only on the class of b' in F_q* / (F_q*)^6, of which there are
+    gcd(6, q - 1), and the key is that class, b'^((q-1)/gcd(6, q-1))
+    (Silverman, The Arithmetic of Elliptic Curves, section X.5).
+    """
+    return {}
+
+
+@lru_cache(maxsize=64)
+def _companion_point(q: int, a: int, b: int, g: int) -> tuple[int, _Affine]:
+    """The first (b', W) by ascending b' != b with W of order g on the nonsingular b' curve.
+
+    Raises:
+        NotFoundError: no companion curve has a point of order g.
+    """
+    orders = _companion_orders(q, a)
+    twists = gcd(6, q - 1) if a == 0 else None
+    bound = isqrt(4 * q)
+    # the Hasse interval, which holds every nonsingular N', must hold a multiple of g
+    if (q + 1 + bound) // g * g >= q + 1 - bound:
+        for b_prime in range(1, q):
+            # once every twist class is counted, a g dividing none of their orders is refused
+            if len(orders) == twists and all(n_prime % g for n_prime in orders.values()):
+                break
+            if b_prime == b:
+                continue
+            key = b_prime if twists is None else pow(b_prime, (q - 1) // twists, q)
+            n_prime = orders.get(key)
+            if n_prime is None:
+                if is_singular(q, a, b_prime):
+                    continue
+                n_prime = orders[key] = _group_order(q, a, b_prime)
+            if n_prime % g == 0:
+                w = _point_of_order(q, a, b_prime, n_prime, g)
+                if w is not None:
+                    return b_prime, w
+    raise NotFoundError(f"no companion curve over F_{q} has a subgroup of order {g}")
+
+
+def _point_of_order(q: int, a: int, b: int, n: int, g: int) -> _Pair:
+    """The first (n/g) * P != O over the b curve's n points P by ascending x, or None."""
+    k = n // g
+    # a non-cyclic g-part needs the whole g-torsion over F_q, hence g | q - 1
+    # (Weil pairing) and g^2 | n; only then can every product be O
+    if (q - 1) % g == 0 and n % (g * g) == 0 and not _probe(q, a, b, k):
+        return None
+    for p in _affine_points(q, a, b):
+        w = _double_and_add(k, p, q, a)
+        # g is prime, so w != O has order exactly g
+        if w is not None:
+            return w
+    return None
+
+
+def _probe(q: int, a: int, b: int, k: int) -> bool:
+    """False when _PROBES seeded uniform points P of the b curve all give k * P == O."""
+    rng = Random(f"{q}:{a}:{b}:{k}")
+    probes = 0
+    for _ in range(_PROBE_DRAWS):
+        x = rng.randrange(q)
+        y = _square_root((x * x * x + a * x + b) % q, q)
+        # an x with two points is kept on every draw and one with a single
+        # point (y = 0) on half of them, so every affine point is equally
+        # likely; P and -P give O together, so which root is taken is moot
+        if y is None or (y == 0 and rng.getrandbits(1)):
+            continue
+        if _double_and_add(k, (x, y), q, a) is not None:
+            return True
+        probes += 1
+        if probes == _PROBES:
+            return False
+    # too few points drawn to rule the curve out: let the walk decide
+    return True
 
 
 def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
     """Deterministic search for a point of exact prime order g on some b' curve.
 
     e.q must be an odd prime. Scans b' = 1, 2, ... (skipping b' == e.b and
-    singular coefficient pairs) and counts each companion curve's points N'
-    once per curve, as count_points does (baby-step giant-step over the
-    Hasse interval): the scan stops at the first b' that serves g, a later
-    call resumes it there, and a prime asked for later is first answered
-    from the N' already counted. The four curves used last keep their scans.
-    When a == 0, N' is counted once per twist class of b' (at most six) and
-    read for every other b' of the class; once every class is counted, a g
-    that divides none of their orders is refused without scanning further.
-    A g with no multiple in the Hasse interval q + 1 -+ floor(2 sqrt q),
-    such as any g above it, is refused at once.
+    singular coefficient pairs) and stops at the first b' that serves g.
+    Each companion curve's points N' are counted as count_points counts
+    them (baby-step giant-step over the Hasse interval), once per (q, a):
+    a memo of N' is kept for the four (q, a) used last, shared by curves
+    that differ only in b, and the answers for the 64 (q, a, b, g) asked
+    last are kept too. When a == 0, N' is counted once per twist class of
+    b' (at most six) and read for every other b' of the class; once every
+    class is counted, a g that divides none of their orders is refused
+    without scanning further. A g with no multiple in the Hasse interval
+    q + 1 -+ floor(2 sqrt q), such as any g above it, is refused at once.
 
     When g | N', the curve's points are multiplied, by ascending x, by N'/g
     until one gives a point other than O, which has order g. Such a point
@@ -951,7 +926,8 @@ def find_invalid_curve_point(e: CurveParams, g: int) -> InvalidCurvePoint:
     _prime_field(e.q)
     if g < 3 or not is_probable_prime(g):
         raise ValueError(f"order must be an odd prime >= 3, got {g}")
-    return _companion_scan(e).point_of_order(g)
+    b_prime, w = _companion_point(e.q, e.a, e.b, g)
+    return InvalidCurvePoint(b_prime=b_prime, point=_from_pair(w), order=g)
 
 
 def search_prime_order_curve(

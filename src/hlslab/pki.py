@@ -119,17 +119,24 @@ class Certificate:
             raise ValueError("serial must be nonnegative")
 
 
+def _certificate_fields(
+    serial: int, subject: str, public_key: Point, not_before: int, not_after: int
+) -> dict:
+    # the signed fields in certificate-file order, integers as hex strings
+    return {
+        "serial": int_to_hex(serial),
+        "subject": subject,
+        "publicKey": point_to_obj(public_key),
+        "notBefore": int_to_hex(not_before),
+        "notAfter": int_to_hex(not_after),
+    }
+
+
 def certificate_body(
     serial: int, subject: str, public_key: Point, not_before: int, not_after: int
 ) -> bytes:
     """Canonical signed body: key-sorted JSON with hex integers."""
-    payload = {
-        "notAfter": int_to_hex(not_after),
-        "notBefore": int_to_hex(not_before),
-        "publicKey": point_to_obj(public_key),
-        "serial": int_to_hex(serial),
-        "subject": subject,
-    }
+    payload = _certificate_fields(serial, subject, public_key, not_before, not_after)
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -407,14 +414,10 @@ def sig_from_dict(data: dict) -> SchnorrSig:
 
 
 def cert_to_dict(cert: Certificate) -> dict:
-    return {
-        "serial": int_to_hex(cert.serial),
-        "subject": cert.subject,
-        "publicKey": point_to_obj(cert.public_key),
-        "notBefore": int_to_hex(cert.not_before),
-        "notAfter": int_to_hex(cert.not_after),
-        "sig": sig_to_dict(cert.signature),
-    }
+    fields = _certificate_fields(
+        cert.serial, cert.subject, cert.public_key, cert.not_before, cert.not_after
+    )
+    return {**fields, "sig": sig_to_dict(cert.signature)}
 
 
 def cert_from_dict(data: dict) -> Certificate:

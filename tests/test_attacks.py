@@ -10,6 +10,8 @@ from random import Random
 
 import pytest
 
+from conftest import load_bad_fixture
+from hlslab import attacks
 from hlslab.attacks import (
     AttackReport,
     PairTable,
@@ -105,14 +107,31 @@ class TestPairTable:
         assert table.match(scalar_mul(7, toy.g, toy), toy) is None
 
     def test_tabulated_x_with_a_foreign_y_does_not_match(self, toy):
-        # 3*G = (10, 6): x is in the table, but y = 7 is neither 6 nor 17 - 6
+        # 3*G = (10, 6): x is in the table, but y = 7 is neither 6 nor 17 - 6,
+        # and the unreduced 23 and 28 are neither as integers
         table = PairTable.build([3], toy)
         assert scalar_mul(3, toy.g, toy) == Point(10, 6)
-        assert table.match(Point(10, 7), toy) is None
+        for y in (7, 23, 28):
+            assert table.match(Point(10, y), toy) is None
 
     def test_infinity_never_matches(self, toy):
         table = PairTable.build([3], toy)
         assert table.match(INFINITY, toy) is None
+
+    def test_kept_point_matches_with_no_multiplication(self, monkeypatch, toy):
+        table = PairTable.build([3], toy)
+        calls = []
+        monkeypatch.setattr(attacks, "scalar_mul", lambda *args: calls.append(args))
+        found = [table.match(p, toy) for p in (Point(10, 6), INFINITY, Point(5, 1))]
+        assert (found, calls) == ([3, None, None], [])
+
+    def test_other_point_with_the_x_is_multiplied_out(self):
+        # on hasse_q9 G has order 7, not the declared n = 19: 6 * G = (0, 8)
+        # shares x with G, but (19 - 1) * G = 4 * G does not give it back
+        e = load_bad_fixture("hasse_q9")
+        table = PairTable.build([1], e)
+        assert scalar_mul(6, e.g, e) == Point(0, 8)
+        assert table.match(Point(0, 8), e) is None
 
     def test_scan_recovers_only_tabulated_traffic(self, toy):
         rng = Random(35)

@@ -410,8 +410,14 @@ class TestFindInvalidCurvePoint:
         with pytest.raises(NotFoundError):
             find_invalid_curve_point(toy, 5)
 
-    def test_cached(self, toy):
-        assert find_invalid_curve_point(toy, 3) is find_invalid_curve_point(toy, 3)
+    def test_cached(self, monkeypatch, toy):
+        first = find_invalid_curve_point(toy, 3)
+        kernel = [
+            _count_calls(monkeypatch, name)
+            for name in ("_group_order", "_point_of_order", "_double_and_add", "_affine_add")
+        ]
+        assert find_invalid_curve_point(toy, 3) == first
+        assert kernel == [[], [], [], []]
 
     @pytest.mark.parametrize("g", [1, 2, 4, 9])
     def test_non_odd_prime_order_rejected(self, toy, g):
@@ -453,6 +459,11 @@ PINNED_COMPANIONS = {
 }
 
 
+def _clear_companion_caches():
+    curve_module._companion_orders.cache_clear()
+    curve_module._companion_point.cache_clear()
+
+
 def _count_calls(monkeypatch, name):
     """Replace curve.<name> with a wrapper that records each call's arguments."""
     calls = []
@@ -486,13 +497,21 @@ class TestCompanionScan:
 
     def test_cold_budget_counts_each_companion_curve_once(self, monkeypatch, mid16):
         # the per-prime restart computed 26 character sums for these 8 curves
-        curve_module._companion_scan.cache_clear()
+        _clear_companion_caches()
         sums = _count_calls(monkeypatch, "_group_order")
-        default_g_budget(mid16)
+        budget = default_g_budget(mid16)
         assert sorted(sums) == [(mid16.q, mid16.a, b) for b in range(1, 9)]
+        points = _count_calls(monkeypatch, "_point_of_order")
+        sums.clear()
+        assert default_g_budget(mid16) == budget
+        assert (sums, points) == ([], [])
+        # with the answers dropped, the kept orders still serve every prime
+        curve_module._companion_point.cache_clear()
+        assert default_g_budget(mid16) == budget
+        assert sums == [] and len(points) == len(budget)
 
     def test_cold_budget_builds_no_table_over_the_field(self, monkeypatch):
-        curve_module._companion_scan.cache_clear()
+        _clear_companion_caches()
         curve_module._group_order.cache_clear()
         enumerated = _count_calls(monkeypatch, "_enumerated_order")
         assert default_g_budget(POOL_60427) == [g for g, *_ in PINNED_COMPANIONS["pool_60427"]]
@@ -500,20 +519,30 @@ class TestCompanionScan:
 
     def test_a0_cold_budget_counts_one_curve_per_twist(self, monkeypatch, a0_q55009):
         # counting every b' took 55,007 counts for these six orders
-        curve_module._companion_scan.cache_clear()
+        _clear_companion_caches()
         orders = _count_calls(monkeypatch, "_group_order")
         assert default_g_budget(a0_q55009) == [3, 7, 13, 19, 163]
         assert len(orders) <= 6
 
     def test_a0_prime_dividing_no_twist_order_is_refused_at_once(self, monkeypatch, a0_q55009):
-        curve_module._companion_scan.cache_clear()
+        _clear_companion_caches()
         default_g_budget(a0_q55009)
-        scan = curve_module._companion_scan(a0_q55009)
-        next_b = scan.next_b
-        orders = _count_calls(monkeypatch, "_group_order")
+        assert len(curve_module._companion_orders(a0_q55009.q, 0)) == 6
+        calls = [
+            _count_calls(monkeypatch, name)
+            for name in ("_group_order", "_point_of_order", "is_singular")
+        ]
+        # nor is any b' walked to its twist class
+        classes = []
+
+        def counted_pow(*args):
+            classes.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(curve_module, "pow", counted_pow, raising=False)
         with pytest.raises(NotFoundError):
             find_invalid_curve_point(a0_q55009, 5)
-        assert (orders, scan.next_b) == ([], next_b) and next_b < 100
+        assert (calls, classes) == ([[], [], []], [])
 
     # every companion curve over F_41887 has 41887 + 1 -+ 409 points, and
     # neither prime has a multiple in [41479, 42297]; 42299 took 41,885
@@ -522,28 +551,51 @@ class TestCompanionScan:
     def test_prime_with_no_multiple_in_hasse_interval_is_refused_at_once(
         self, monkeypatch, mid16, g
     ):
-        curve_module._companion_scan.cache_clear()
-        default_g_budget(mid16)
-        scan = curve_module._companion_scan(mid16)
-        next_b = scan.next_b
-        orders = _count_calls(monkeypatch, "_group_order")
+        _clear_companion_caches()
+        calls = [
+            _count_calls(monkeypatch, name)
+            for name in ("_group_order", "_point_of_order", "is_singular")
+        ]
         message = f"^no companion curve over F_41887 has a subgroup of order {g}$"
         with pytest.raises(NotFoundError, match=message):
             find_invalid_curve_point(mid16, g)
-        assert (orders, scan.next_b) == ([], next_b) and next_b < 100
+        assert calls == [[], [], []]
+        assert curve_module._companion_orders(mid16.q, mid16.a) == {}
 
     def test_prime_with_a_multiple_in_hasse_interval_is_scanned(self, monkeypatch, toy):
         # over F_17 the interval is [10, 26]: 23 is scanned for across every
         # companion curve, 29 is refused before any count
-        curve_module._companion_scan.cache_clear()
+        _clear_companion_caches()
         orders = _count_calls(monkeypatch, "_group_order")
         with pytest.raises(NotFoundError):
             find_invalid_curve_point(toy, 29)
         assert orders == []
         with pytest.raises(NotFoundError):
             find_invalid_curve_point(toy, 23)
-        assert curve_module._companion_scan(toy).next_b == toy.q
-        assert len(orders) > 0
+        companions = [b for b in range(1, toy.q) if b != toy.b and not is_singular(toy.q, toy.a, b)]
+        assert [b for _, _, b in orders] == companions
+        assert sorted(curve_module._companion_orders(toy.q, toy.a)) == companions
+
+    def test_curves_differing_only_in_b_share_the_counts(self, monkeypatch, mid16):
+        # mid16's budget counts b' = 1..8; over the same (q, a) the curve with
+        # b = 2 skips b' = 2, which serves g = 17 on mid16, and counts only the
+        # b' = 9 and 10 that its own g = 17 needs
+        sibling = dataclasses.replace(mid16, b=2)
+        budget = [g for g, *_ in PINNED_COMPANIONS["mid16"]]
+        _clear_companion_caches()
+        cold = [find_invalid_curve_point(sibling, g) for g in budget]
+        _clear_companion_caches()
+        assert default_g_budget(mid16) == budget
+        sums = _count_calls(monkeypatch, "_group_order")
+        shared = [find_invalid_curve_point(sibling, g) for g in budget]
+        assert [b for _, _, b in sums] == [9, 10]
+        assert shared == cold
+        assert [icp.b_prime for icp in shared] == [1, 4, 8, 6, 5, 10]
+        curve_module._companion_point.cache_clear()
+        for g, b_prime, x, y in PINNED_COMPANIONS["mid16"]:
+            icp = find_invalid_curve_point(mid16, g)
+            assert (icp.order, icp.b_prime, icp.point) == (g, b_prime, Point(x, y))
+        assert len(sums) == 2
 
     @pytest.mark.parametrize("q", [97, 101, 103, 107])
     def test_a0_twist_class_fixes_the_order(self, q):
@@ -559,7 +611,7 @@ class TestCompanionScan:
         # walking every point of the Z/3 x Z/3 curve took 21,037 multiplications;
         # the scan's points lie off e, so it multiplies them by double-and-add
         # directly, never through the public scalar_mul
-        curve_module._companion_scan.cache_clear()
+        _clear_companion_caches()
         mults = _count_calls(monkeypatch, "_double_and_add")
         public = _count_calls(monkeypatch, "scalar_mul")
         assert find_invalid_curve_point(POOL_42331, 3).b_prime == 2

@@ -5,6 +5,7 @@ inline) were constructed by direct arithmetic and verified by an independent
 checker script; each must fail exactly one domain check.
 """
 
+import json
 from dataclasses import replace
 from random import Random
 
@@ -445,6 +446,15 @@ class TestPkiSerialization:
         d = cert_to_dict(ca.issue("Alice", alice.pub, NOW, LIFETIME))
         assert set(d) == {"serial", "subject", "publicKey", "notBefore", "notAfter", "sig"}
         assert set(d["sig"]) == {"e", "z"}
+
+    def test_fixed_certificate_dict(self):
+        # the file's key order and encodings; TestCertificateBody pins the
+        # signed body built from the same fields
+        cert = Certificate(7, "Alice", Point(5, 1), 10, 20, SchnorrSig(e=3, z=14))
+        assert json.dumps(cert_to_dict(cert)) == (
+            '{"serial": "0x7", "subject": "Alice", "publicKey": {"x": "0x5", "y": "0x1"},'
+            ' "notBefore": "0xa", "notAfter": "0x14", "sig": {"e": "0x3", "z": "0xe"}}'
+        )
 
     def test_cert_missing_keys(self):
         with pytest.raises(ValueError, match="missing"):

@@ -6,9 +6,9 @@ from random import Random
 import pytest
 
 from conftest import load_bad_fixture
-from hlslab import scenarios
+from hlslab import attacks, curve, hls, pki, scenarios
 from hlslab.attacks import forward_secrecy_break
-from hlslab.curve import find_invalid_curve_point
+from hlslab.curve import find_invalid_curve_point, scalar_mul
 from hlslab.errors import NotFoundError, OracleRefusedError
 from hlslab.hls import Mode, bound_hash, gen, signcrypt
 from hlslab.scenarios import (
@@ -65,6 +65,21 @@ class TestScenarioDetails:
         assert report.transcript[-1] == "4/6 recoveries verified, 2/2 sender keys exposed"
         assert not report.success
         assert report.recovered == {"d_A#0": 16, "d_A#1": 20}
+
+    def test_vulnerable_pair_scan_matches_with_no_multiplication(self, monkeypatch, mid16):
+        # 3 key pairs, 2 per signcrypt, 4 for the table and 2 per recovery:
+        # a triple whose R is a kept point is matched by its y alone
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return scalar_mul(*args)
+
+        for module in (scenarios, attacks, hls, pki, curve):
+            if getattr(module, "scalar_mul", None) is scalar_mul:
+                monkeypatch.setattr(module, "scalar_mul", counted)
+        assert run_pair_scan(mid16, Mode.VULNERABLE, Random(1)).success
+        assert len(calls) == 31
 
     def test_forward_secrecy_blocked_reason(self, toy):
         report = SCENARIOS["forward-secrecy"](toy, Mode.HARDENED, Random(69))
