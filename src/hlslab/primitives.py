@@ -64,10 +64,29 @@ def hash_to_scalar(data: bytes, n: int) -> int:
     return int.from_bytes(hash_bytes(data), "big") % n
 
 
+# The counter's low byte for each block of a run of 256; CPython shares every
+# one-byte bytes object, so the table costs 256 references and holds no key
+_LOW_COUNTER_BYTES = tuple(bytes((low,)) for low in range(256))
+
+
 def _keystream(key: bytes, length: int) -> bytes:
-    """First length bytes of blocks 0, 1, ...; block j = SHA-256(key || j, 8 bytes big-endian)."""
+    """First length bytes of blocks 0, 1, ...; block j = SHA-256(key || j, 8 bytes big-endian).
+
+    The key is absorbed once. Every run of 256 blocks copies that state and
+    absorbs the counter's 7 high bytes, and every block copies the run's state
+    and absorbs the low byte, so each block hashes the same bytes as
+    SHA-256(key + j.to_bytes(8, "big")) without building them.
+    """
     n_blocks = (length + 31) // 32
-    blocks = [hashlib.sha256(key + j.to_bytes(8, "big")).digest() for j in range(n_blocks)]
+    keyed = hashlib.sha256(key)
+    blocks = []
+    for start in range(0, n_blocks, 256):
+        run = keyed.copy()
+        run.update((start >> 8).to_bytes(7, "big"))
+        for low in _LOW_COUNTER_BYTES[: n_blocks - start]:
+            block = run.copy()
+            block.update(low)
+            blocks.append(block.digest())
     return b"".join(blocks)[:length]
 
 

@@ -5,6 +5,7 @@ The worked example's recovery algebra: with s = 2, h = 4, r = 5 on the
 = 1 * 5 = 5 (mod 19), both frozen from the independent trace.
 """
 
+import re
 from dataclasses import replace
 from random import Random
 
@@ -283,12 +284,21 @@ class TestInvalidCurveAttack:
         assert any("cannot be unique" in line for line in report.transcript)
 
     @pytest.mark.parametrize(
-        "budget", [[3, 3], [4], [9], [2], list(range(3, 70, 2))]
+        "budget, refusal",
+        [
+            ([3, 3], "g budget must contain distinct primes"),
+            ([4], "g budget entries must be odd primes >= 3, got 4"),
+            ([9], "g budget entries must be odd primes >= 3, got 9"),
+            ([2], "g budget entries must be odd primes >= 3, got 2"),
+            (list(range(3, 70, 2)), "g budget larger than 16 explodes the sign search"),
+        ],
+        ids=[f"budget{i}" for i in range(5)],
     )
-    def test_bad_budgets_rejected(self, toy, budget):
+    def test_bad_budgets_rejected(self, toy, budget, refusal):
+        # each refusal has its own message, so deleting one of them fails its case
         bob = gen(toy, Random(56))
         oracle = confirm_oracle_for(bob, bob.pub, toy, ConfirmPolicy.CONFIRM_ALWAYS)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
             invalid_curve_attack(toy, bob.pub, oracle, b"c", budget, Random(57))
 
     def test_mid16_full_budget(self, mid16):

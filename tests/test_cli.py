@@ -622,6 +622,18 @@ def test_point_count_on_composite_field_fails_under_every_flag(optimize):
     )
 
 
+def test_demo_all_runs_on_the_standard_library_alone():
+    # -S leaves site-packages off the path, so no installed package can
+    # stand in for a missing import
+    src = str(Path(hlslab.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-S", "-m", "hlslab.cli", "demo-all", "--curve", "toy17"]
+    argv += ["--seed", "1", "--output", "json"]
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+
+
 class TestUsageErrors:
     def test_missing_required_flag(self, run):
         assert run("signcrypt")[0] == 3

@@ -41,6 +41,7 @@ from hlslab.hls import (
     gen,
     keypair_from_dict,
     keypair_to_dict,
+    public_key_checks,
     signcrypt,
     signcrypted_from_dict,
     signcrypted_to_dict,
@@ -49,6 +50,7 @@ from hlslab.hls import (
 )
 from hlslab.primitives import (
     derive_key,
+    field_len,
     hash_to_scalar,
     mac,
     stream_decrypt,
@@ -355,6 +357,33 @@ class TestUnreducedEphemeral:
         alice, bob, sigma = honest
         bad = self.shifted(sigma, 0, mid16.q)
         assert unsigncrypt(bad, bob.d, alice.pub, mid16, Mode.VULNERABLE) == b"unreduced"
+
+    def test_vulnerable_rejects_x_at_the_encoding_boundary(self, mid16, honest):
+        # x_R = 256 ** 2 is the least x with no 2-byte encoding: a verdict of
+        # None, not the encoder's ValueError
+        alice, bob, sigma = honest
+        bad = self.shifted(sigma, 256 ** field_len(mid16.q) - sigma.ephemeral.x, 0)
+        assert bad.ephemeral.x == 65536
+        assert unsigncrypt(bad, bob.d, alice.pub, mid16, Mode.VULNERABLE) is None
+
+    def test_coordinate_equal_to_q_fails_coordinate_range(self, mid16):
+        for p in (Point(mid16.q, 9580), Point(0, mid16.q)):
+            failed = [name for name, failure in public_key_checks(p, mid16) if failure]
+            assert failed[0] == "coordinate-range", p
+
+    def test_hardened_refuses_x_equal_to_q(self, mid16, honest):
+        # G = (0, 9580), so (q, 9580) satisfies the equation mod q and has
+        # n * R = O: only the range check stands between it and acceptance
+        alice, bob, sigma = honest
+        bad = dataclasses.replace(sigma, ephemeral=Point(mid16.q, 9580))
+        assert list(public_key_checks(bad.ephemeral, mid16))[2:] == [
+            ("on-curve", None),
+            ("subgroup-order", None),
+        ]
+        with pytest.raises(InvalidEphemeralKeyError, match="out of field range"):
+            unsigncrypt(bad, bob.d, alice.pub, mid16, Mode.HARDENED)
+        with pytest.raises(InvalidEphemeralKeyError, match="out of field range"):
+            confirmation_oracle(bad, bob.d, alice.pub, mid16, b"c", ConfirmPolicy.HARDENED)
 
 
 class TestUndefinedCheckSum:

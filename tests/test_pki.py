@@ -191,6 +191,11 @@ class TestIssueAndValidate:
         report = validate_certificate(cert, ca.pub, NOW + LIFETIME + 1, ca.crl, toy)
         assert report.failed_names() == ["expiry"]
 
+    def test_valid_through_the_last_second(self, toy, ca, alice):
+        cert = ca.issue("Alice", alice.pub, NOW, LIFETIME)
+        assert cert.not_after == NOW + LIFETIME
+        assert validate_certificate(cert, ca.pub, cert.not_after, ca.crl, toy).ok
+
     def test_not_yet_valid_fails_exactly_expiry(self, toy, ca, alice):
         cert = ca.issue("Alice", alice.pub, NOW, LIFETIME)
         report = validate_certificate(cert, ca.pub, NOW - 1, ca.crl, toy)

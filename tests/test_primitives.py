@@ -112,6 +112,14 @@ class TestStreamCipher:
         )[:length]
         assert stream_encrypt(key, bytes(length)) == reference
 
+    def test_keystream_past_block_65535(self):
+        # blocks 65,535 and 65,536 straddle the counter's third byte
+        key = b"\xa3\x9f"
+        tail = b"".join(
+            hashlib.sha256(key + j.to_bytes(8, "big")).digest() for j in (65535, 65536)
+        )
+        assert stream_encrypt(key, bytes(65537 * 32))[-64:] == tail
+
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 65, 100, 1000])
     def test_matches_bytewise_xor(self, length):
         # stream_encrypt XORs two whole integers; leading zero bytes must
