@@ -4,8 +4,10 @@ scheme, each returning a structured AttackReport.
 Covered: ephemeral-leak sender-key recovery (pair-scan is PairTable plus this
 recovery, scored in its scenario), forward-secrecy break via ephemeral
 reconstruction, invalid-curve recovery of the recipient key through the
-confirmation-tag oracle with CRT recombination, identity misbinding against
-a lax CA, the r = 0 signature leak, and the degenerate-session-key audit.
+confirmation-tag oracle (per-prime rounds over one key walk, then one CRT
+finish: the walk is what a verify-before-confirm round reuses, the finish
+what an interval search replaces), identity misbinding against a lax CA,
+the r = 0 signature leak, and the degenerate-session-key audit.
 
 Every attack is deterministic given its injected randomness, and every
 success report carries the recovered secrets so callers can re-verify them
@@ -18,7 +20,7 @@ import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .arith import crt_combine, int_to_hex, is_probable_prime, mod_inv
 from .curve import (
@@ -191,6 +193,25 @@ def forward_secrecy_break(
     )
 
 
+def _key_walk(w: Point, g: int, e: CurveParams) -> Iterator[tuple[int, bytes]]:
+    # (j, vulnerable key of j * W) for j = 0..g // 2 as consumed, one point_add
+    # and one derive_key each; (g - j) * W has j * W's x, hence its key
+    candidate = INFINITY
+    for j in range(g // 2 + 1):
+        if j:
+            candidate = point_add(candidate, w, e)
+        yield j, derive_key(candidate, e, Mode.VULNERABLE)
+
+
+def _crt_finish(residues: list, pub_recipient: Point, e: CurveParams) -> Optional[int]:
+    # the first CRT combination of one (residue, g) per round with d * G == U_B
+    for combo in itertools.product(*residues):
+        candidate_d = crt_combine(combo)
+        if 1 <= candidate_d < e.n and scalar_mul(candidate_d, e.g, e) == pub_recipient:
+            return candidate_d
+    return None
+
+
 def invalid_curve_attack(
     e: CurveParams,
     pub_recipient: Point,
@@ -202,14 +223,17 @@ def invalid_curve_attack(
     """Recover the recipient's key through the confirmation oracle.
 
     For each small prime g: find a point W of order g on a companion curve,
-    send it as the ephemeral of a crafted triple, and walk j*W once for
-    j = 0..floor(g/2), replaying the returned tag against each key until
-    one matches. The options mod g are +-j for every walked j whose key is
-    the matched one; the sign ambiguity (derive_key sees only x, identical
-    for K and -K) is resolved at the end by enumerating the combinations
-    through the CRT and testing d*G. Vulnerable derive_key gives O the key
-    of x = 0, so after a match at j = 0 the walk goes on to floor(g/2)
-    without MAC trials, collecting every j whose j*W has x = 0.
+    send it as the ephemeral of a crafted triple, and replay the returned
+    tag against the keys of the walk j*W, j = 0..floor(g/2), until one
+    matches. The options mod g are +-j for every walked j whose key is the
+    matched one; the sign ambiguity (derive_key sees only x, identical for
+    K and -K) is resolved by the finish, which tries the combinations
+    through the CRT against d*G. Vulnerable derive_key gives O the key of
+    x = 0, so after a match at j = 0 the walk goes on to floor(g/2) without
+    MAC trials, collecting every j whose j*W has x = 0. The walk
+    (_key_walk) and the finish (_crt_finish) are the parts other attacks
+    reuse: a verify-before-confirm round walks the same keys, and an
+    interval search finishes partial residues instead.
 
     One oracle query per g, including rejected ones. Rounds the oracle
     refuses (a validating recipient) or fails to match contribute nothing;
@@ -225,9 +249,9 @@ def invalid_curve_attack(
             raise ValueError(f"g budget entries must be odd primes >= 3, got {g}")
     transcript = []
     product = math.prod(g_budget)
-    if product <= e.n:
+    if product < e.n:
         transcript.append(
-            f"warning: product of orders {product} <= n = {e.n}, recovery cannot be unique"
+            f"warning: product of orders {product} < n = {e.n}, recovery cannot be unique"
         )
     # the (residue, g) pairs the tag allows, one list per answered round
     residues: list[list[tuple[int, int]]] = []
@@ -238,11 +262,7 @@ def invalid_curve_attack(
         transcript.append(
             f"g={g}: using point {w} of order {g} on companion curve b'={icp.b_prime}"
         )
-        crafted = SigncryptedText(
-            ciphertext=rng.randbytes(16),
-            ephemeral=w,
-            signature=rng.randrange(e.n),
-        )
+        crafted = SigncryptedText(rng.randbytes(16), w, rng.randrange(e.n))
         try:
             response = oracle(crafted, confirm_message)
         except (InvalidEphemeralKeyError, KeyControlError) as exc:
@@ -252,16 +272,9 @@ def invalid_curve_attack(
             transcript.append(f"g={g}: oracle returned no tag (verification failed)")
             continue
         _, tag = response
-        # One walk of j * W for j = 0..g//2, MAC-testing keys in order until
-        # one reproduces the tag, and stopping at a match with j >= 1. A match
-        # at j = 0 is O's all-zero key, which the walk goes on comparing with
-        # no further MAC trial: only an x = 0 multiple shares it. (g - j) * W
-        # has j * W's x, hence its key, so each matching j gives +-j mod g.
-        candidate, matched, options = INFINITY, None, []  # candidate is j * W
-        for j in range(g // 2 + 1):
-            if j:
-                candidate = point_add(candidate, w, e)
-            key = derive_key(candidate, e, Mode.VULNERABLE)
+        # stop at a match with j >= 1; after one at j = 0 keys are compared, not MACed
+        matched, options = None, []
+        for j, key in _key_walk(w, g, e):
             if matched is None and mac(key, confirm_message) == tag:
                 matched = key
             if key == matched:
@@ -283,30 +296,15 @@ def invalid_curve_attack(
                 f" j = 0; d_B == +-j (mod {g}) for those j kept as options"
             )
         residues.append([(r, g) for r in options])
-    for combo in itertools.product(*residues):
-        candidate_d = crt_combine(combo)
-        if not 1 <= candidate_d < e.n:
-            continue
-        if scalar_mul(candidate_d, e.g, e) == pub_recipient:
-            transcript.append(
-                f"CRT over {len(residues)} residues: d_B = {candidate_d} verified against U_B"
-            )
-            return AttackReport(
-                "invalid-curve",
-                True,
-                recovered={"d_B": candidate_d},
-                oracle_queries=len(g_budget),
-                trials=mac_trials,
-                transcript=tuple(transcript),
-            )
+    d_b = _crt_finish(residues, pub_recipient, e)
     transcript.append(
-        "no CRT sign combination matched U_B (order product too small?)"
-        if residues
+        f"CRT over {len(residues)} residues: d_B = {d_b} verified against U_B" if d_b
+        else "no CRT sign combination matched U_B (order product too small?)" if residues
         else "no residues collected, recipient never leaked a usable tag"
     )
     return AttackReport(
-        "invalid-curve", False, oracle_queries=len(g_budget), trials=mac_trials,
-        transcript=tuple(transcript),
+        "invalid-curve", bool(d_b), {"d_B": d_b} if d_b else {},
+        oracle_queries=len(g_budget), trials=mac_trials, transcript=tuple(transcript),
     )
 
 

@@ -208,9 +208,9 @@ def _unsigncrypt(
         validate_ephemeral_point(sigma.ephemeral, e)
     shared = scalar_mul(d_recipient, sigma.ephemeral, e)
     key = derive_key(shared, e, mode)
-    message = stream_decrypt(key, sigma.ciphertext)
     if not sigma.ephemeral.is_infinity and sigma.ephemeral.x >= 256 ** field_len(e.q):
-        return None, key  # x_R has no field encoding, so no h binds it
+        return None, key  # x_R has no field encoding, so no h binds it: nothing to decrypt
+    message = stream_decrypt(key, sigma.ciphertext)
     h = bound_hash(message, sigma.ephemeral, e)
     try:
         verified = _hls_verdict(sigma.signature, h, sigma.ephemeral, pub_sender, e)

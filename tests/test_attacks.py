@@ -87,8 +87,15 @@ class TestRecoverSenderKey:
 
     def test_out_of_range_leak_rejected(self, toy):
         sigma = SigncryptedText(b"", Point(9, 16), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("leaked scalar out of range [0, 18]")):
             recover_sender_key(19, sigma, scalar_mul(7, toy.g, toy), toy)
+
+    def test_zero_leak_is_in_range(self, toy):
+        # r = 0 puts R = O on the wire, and d_A = s + h * 0 = s
+        rng = Random(33)
+        alice, bob = gen(toy, rng), gen(toy, rng)
+        sigma = signcrypt(b"m", alice.d, bob.pub, toy, rng, forced_r=0)
+        assert recover_sender_key(0, sigma, bob.pub, toy) == sigma.signature == alice.d
 
 
 class TestPairTable:
@@ -201,6 +208,7 @@ class TestForwardSecrecyBreak:
         decryptor = make_decryptor(bob, alice.pub, toy, Mode.VULNERABLE)
         report = forward_secrecy_break(alice.d, sigma, bob.pub, decryptor, toy)
         assert not report.success
+        assert (report.oracle_queries, report.trials) == (1, 1)
         assert any("not invertible" in line for line in report.transcript)
 
     def test_wrong_sender_key_detected(self, toy):
@@ -211,6 +219,7 @@ class TestForwardSecrecyBreak:
         wrong_d = alice.d % (toy.n - 1) + 1
         report = forward_secrecy_break(wrong_d, sigma, bob.pub, decryptor, toy)
         assert not report.success
+        assert (report.oracle_queries, report.trials) == (1, 1)
 
 
 class TestInvalidCurveAttack:
@@ -241,6 +250,35 @@ class TestInvalidCurveAttack:
         oracle = confirm_oracle_for(bob, alice.pub, toy, ConfirmPolicy.CONFIRM_ALWAYS)
         report = invalid_curve_attack(toy, bob.pub, oracle, b"c", [3, 7], Random(46))
         assert report.trials <= (3 // 2 + 1) + (7 // 2 + 1)
+
+    @pytest.mark.parametrize(
+        "name,seeds", [("mid16", range(20)), ("toy", range(40))], ids=["mid16", "toy17"]
+    )
+    def test_exact_trials_per_round(self, request, name, seeds):
+        # a round MAC-tests keys j = 0, 1, ... and stops at the first whose key
+        # is d_B * W's, so it costs that least j plus one trial; the least j is
+        # found here by plain scalar multiplication over all of 0..g-1
+        e = request.getfixturevalue(name)
+        budget = default_g_budget(e)
+        points = {g: find_invalid_curve_point(e, g).point for g in budget}
+        for seed in seeds:
+            report = run_invalid_curve(e, Mode.VULNERABLE, Random(seed))
+            rng = Random(seed)
+            gen(e, rng)
+            d_b = gen(e, rng).d
+            assert report.success and report.recovered["d_B"] == d_b, seed
+            rounds = {}
+            for line in report.transcript:
+                found = re.match(r"g=(\d+): d_B == \+-\d+ \(mod \d+\) after (\d+) trials", line)
+                if found:
+                    rounds[int(found[1])] = int(found[2])
+            expected = {}
+            for g, w in points.items():
+                keys = [derive_key(scalar_mul(j, w, e), e, Mode.VULNERABLE) for j in range(g)]
+                target = derive_key(scalar_mul(d_b, w, e), e, Mode.VULNERABLE)
+                expected[g] = keys.index(target) + 1
+            assert rounds == expected, seed
+            assert report.trials == sum(expected.values()), seed
 
     def test_hardened_oracle_blocks_but_queries_are_counted(self, toy):
         bob = gen(toy, Random(47))
@@ -282,6 +320,24 @@ class TestInvalidCurveAttack:
         oracle = confirm_oracle_for(bob, alice.pub, toy, ConfirmPolicy.CONFIRM_ALWAYS)
         report = invalid_curve_attack(toy, bob.pub, oracle, b"c", [3], Random(55))
         assert any("cannot be unique" in line for line in report.transcript)
+
+    def test_product_equal_to_n_is_unique(self, toy):
+        # g = n = 19 alone gives d_B mod 19, which is d_B: no warning is due
+        bob = gen(toy, Random(53))
+        alice = gen(toy, Random(54))
+        oracle = confirm_oracle_for(bob, alice.pub, toy, ConfirmPolicy.CONFIRM_ALWAYS)
+        report = invalid_curve_attack(toy, bob.pub, oracle, b"c", [19], Random(55))
+        assert report.success and report.recovered["d_B"] == bob.d
+        assert not any("cannot be unique" in line for line in report.transcript)
+
+    def test_budget_of_max_size_accepted(self, mid16):
+        budget = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+        assert len(budget) == attacks.MAX_G_BUDGET
+        bob, alice = gen(mid16, Random(56)), gen(mid16, Random(57))
+        oracle = confirm_oracle_for(bob, alice.pub, mid16, ConfirmPolicy.HARDENED)
+        report = invalid_curve_attack(mid16, bob.pub, oracle, b"c", budget, Random(58))
+        assert not report.success
+        assert report.oracle_queries == len(budget)
 
     @pytest.mark.parametrize(
         "budget, refusal",
@@ -400,6 +456,13 @@ class TestUksAttack:
             "unsigncryption rejected the triple",
         )
 
+    def test_plaintext_is_compared_only_when_expected(self, toy, setup):
+        ca, alice_cert, bob, sigma, _ = setup
+        assert uks_attack(ca, alice_cert, bob, sigma, toy, NOW).success
+        report = uks_attack(ca, alice_cert, bob, sigma, toy, NOW, expected_plaintext=b"other")
+        assert not report.success
+        assert report.transcript[-1].endswith("but the plaintext is not the sender's")
+
     def test_revocation_before_presentation_defeats_it(self, toy, setup):
         ca, alice_cert, bob, sigma, message = setup
         ca.revoke(ca.next_serial)  # the serial the attacker's certificate will get
@@ -417,6 +480,13 @@ class TestZeroRProbe:
         assert report.success
         assert report.recovered["d_A"] == alice.d
 
+    def test_sender_key_one_is_recovered(self, toy):
+        # d_A = 1 is the least key, and s = d_A when R = O
+        alice = KeyPair(d=1, pub=toy.g)
+        report = zero_r_probe(SigncryptedText(b"\x00", INFINITY, 1), alice.pub, toy)
+        assert report.success
+        assert report.recovered == {"d_A": 1}
+
     def test_affine_ephemeral_not_applicable(self, toy):
         rng = Random(64)
         alice, bob = gen(toy, rng), gen(toy, rng)
@@ -430,6 +500,7 @@ class TestZeroRProbe:
         sigma = SigncryptedText(b"\x00", INFINITY, (alice.d + 1) % toy.n or 1)
         report = zero_r_probe(sigma, alice.pub, toy)
         assert not report.success
+        assert report.trials == 1
 
 
 class TestWeakKeyAudit:

@@ -366,6 +366,28 @@ class TestUnreducedEphemeral:
         assert bad.ephemeral.x == 65536
         assert unsigncrypt(bad, bob.d, alice.pub, mid16, Mode.VULNERABLE) is None
 
+    def test_unencodable_x_refused_before_decrypting(self, mid16, honest, monkeypatch):
+        # the x_R guard runs before the keystream, so a refused 256 KiB
+        # ciphertext costs no decryption on either path
+        alice, bob, sigma = honest
+        bad = self.shifted(sigma, 256 ** field_len(mid16.q) - sigma.ephemeral.x, 0)
+        bad = dataclasses.replace(bad, ciphertext=bytes(256 * 1024))
+        calls = []
+
+        def counted(key, ciphertext):
+            calls.append(len(ciphertext))
+            return stream_decrypt(key, ciphertext)
+
+        monkeypatch.setattr("hlslab.hls.stream_decrypt", counted)
+        assert unsigncrypt(bad, bob.d, alice.pub, mid16, Mode.VULNERABLE) is None
+        policy = ConfirmPolicy.CONFIRM_AFTER_VERIFY
+        assert confirmation_oracle(bad, bob.d, alice.pub, mid16, b"c", policy) is None
+        assert calls == []
+        # an encodable x still decrypts, once per path
+        assert unsigncrypt(sigma, bob.d, alice.pub, mid16, Mode.VULNERABLE) == b"unreduced"
+        assert confirmation_oracle(sigma, bob.d, alice.pub, mid16, b"c", policy) is not None
+        assert calls == [len(sigma.ciphertext)] * 2
+
     def test_coordinate_equal_to_q_fails_coordinate_range(self, mid16):
         for p in (Point(mid16.q, 9580), Point(0, mid16.q)):
             failed = [name for name, failure in public_key_checks(p, mid16) if failure]

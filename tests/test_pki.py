@@ -5,6 +5,7 @@ inline) were constructed by direct arithmetic and verified by an independent
 checker script; each must fail exactly one domain check.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 from random import Random
@@ -72,6 +73,22 @@ class TestSchnorr:
         kp = gen(toy, Random(24))
         assert not schnorr_verify(b"body", SchnorrSig(e=19, z=1), kp.pub, toy)
         assert not schnorr_verify(b"body", SchnorrSig(e=1, z=-1), kp.pub, toy)
+
+    def test_z_equal_to_n_fails_closed(self, toy):
+        # z = n names the point z = 0 does, so the verdict alone accepts it and
+        # only the range check refuses it; e = n needs no such test, since
+        # hash_to_scalar is always < n and the verdict refuses it anyway
+        kp = gen(toy, Random(1))
+        assert schnorr_sign(b"body", kp.d, toy, Random(6)) == SchnorrSig(e=12, z=0)
+        assert _schnorr_verdict(b"body", SchnorrSig(e=12, z=toy.n), kp.pub, toy)
+        assert not schnorr_verify(b"body", SchnorrSig(e=12, z=toy.n), kp.pub, toy)
+
+    def test_zero_components_of_a_valid_signature_verify(self, toy):
+        # e = 0 and z = 0 are in range: both signatures below are honest
+        kp = gen(toy, Random(1))
+        for seed, sig in ((2, SchnorrSig(e=0, z=2)), (6, SchnorrSig(e=12, z=0))):
+            assert schnorr_sign(b"body", kp.d, toy, Random(seed)) == sig
+            assert schnorr_verify(b"body", sig, kp.pub, toy)
 
     def test_secp_roundtrip(self, secp256k1):
         kp = gen(secp256k1, Random(27))
@@ -173,6 +190,10 @@ class TestCertificateDataclass:
         with pytest.raises(ValueError):
             Certificate(-1, "A", alice.pub, 0, 1, SchnorrSig(0, 0))
 
+    def test_one_second_window_and_serial_zero_accepted(self, alice):
+        cert = Certificate(0, "A", alice.pub, 5, 5, SchnorrSig(0, 0))
+        assert (cert.serial, cert.not_before, cert.not_after) == (0, 5, 5)
+
 
 class TestIssueAndValidate:
     def test_valid_cert_passes_all_three_checks(self, toy, ca, alice):
@@ -244,6 +265,19 @@ class TestProofOfPossession:
         assert pop_challenge(ca.pub, "Alicf", alice.pub, toy) != base
         assert pop_challenge(alice.pub, "Alice", alice.pub, toy) != base
         assert pop_challenge(ca.pub, "Alice", ca.pub, toy) != base
+
+    def test_challenge_known_answer(self, toy, ca, alice):
+        # SHA-256 of b"pop-challenge-v1" || CA (16, 13) || len("Alice") as 4
+        # big-endian bytes || "Alice" || key (7, 11), one byte per coordinate
+        assert (ca.pub, alice.pub) == (Point(16, 13), Point(7, 11))
+        assert pop_challenge(ca.pub, "Alice", alice.pub, toy) == bytes.fromhex(
+            "adb9f59418d4f96c8470a6d445bfc6a78822d92aefc53e4510fc016b4ad1fd22"
+        )
+        # the identity encodes as two all-zero coordinates
+        layout = b"pop-challenge-v1" + bytes([16, 13]) + (5).to_bytes(4, "big") + b"Alice"
+        assert pop_challenge(ca.pub, "Alice", INFINITY, toy) == (
+            hashlib.sha256(layout + bytes(2)).digest()
+        )
 
     def test_policy_requires_pop(self, toy, ca, alice):
         ca.policy = CAPolicy(require_pop=True)
@@ -370,6 +404,7 @@ class TestValidateDomainParams:
     def test_mid16_passes_at_default_bound(self, mid16):
         report = validate_domain_params(mid16)
         assert report.ok, report.failed_names()
+        assert report.checks[6].detail.endswith("for i = 1..20")
 
     def test_secp256k1_passes_at_default_bound(self, secp256k1):
         report = validate_domain_params(secp256k1)
@@ -389,6 +424,18 @@ class TestValidateDomainParams:
         report = validate_domain_params(toy, embedding_bound=20)
         assert report.failed_names() == ["embedding-degree"]
         assert "degree 9" in report.checks[6].detail
+
+    def test_order_two_has_embedding_degree_one(self):
+        # n = 2 divides q - 1 for every odd q; (0, 0) has order 2 on this 20-point curve
+        e = CurveParams(q=17, a=2, b=0, g=Point(0, 0), n=2, cofactor=10)
+        embedding = validate_domain_params(e, embedding_bound=8).checks[6]
+        assert embedding.detail == "n divides q^1 - 1 (embedding degree 1 <= 8)"
+
+    def test_hasse_margin_fails_at_n_equal_to_four_root_q(self):
+        # n^2 = 16q needs a square q, so the boundary is reached only off a field
+        e = CurveParams(q=9, a=2, b=1, g=Point(0, 1), n=12)
+        margin = validate_domain_params(e, embedding_bound=8).checks[5]
+        assert (margin.passed, margin.detail) == (False, "n^2 = 144 <= 16q = 144")
 
 
 BAD_FIXTURES = [
