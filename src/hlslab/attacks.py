@@ -224,16 +224,14 @@ def invalid_curve_attack(
 
     For each small prime g: find a point W of order g on a companion curve,
     send it as the ephemeral of a crafted triple, and replay the returned
-    tag against the keys of the walk j*W, j = 0..floor(g/2), until one
-    matches. The options mod g are +-j for every walked j whose key is the
-    matched one; the sign ambiguity (derive_key sees only x, identical for
-    K and -K) is resolved by the finish, which tries the combinations
-    through the CRT against d*G. Vulnerable derive_key gives O the key of
-    x = 0, so after a match at j = 0 the walk goes on to floor(g/2) without
-    MAC trials, collecting every j whose j*W has x = 0. The walk
-    (_key_walk) and the finish (_crt_finish) are the parts other attacks
-    reuse: a verify-before-confirm round walks the same keys, and an
-    interval search finishes partial residues instead.
+    tag against the keys of _key_walk until one matches. Each walked j
+    whose key is the matched one gives d_B == +-j (mod g); _crt_finish
+    tries the sign combinations through the CRT against d*G. Vulnerable
+    derive_key gives O the key of x = 0, so after a match at j = 0 the walk
+    goes on without MAC trials, collecting every j whose j*W has x = 0.
+    The walk and the finish are the parts other attacks reuse: a
+    verify-before-confirm round walks the same keys, and an interval
+    search finishes partial residues instead.
 
     One oracle query per g, including rejected ones. Rounds the oracle
     refuses (a validating recipient) or fails to match contribute nothing;
@@ -249,9 +247,9 @@ def invalid_curve_attack(
             raise ValueError(f"g budget entries must be odd primes >= 3, got {g}")
     transcript = []
     product = math.prod(g_budget)
-    if product < e.n:
+    if product <= e.n:
         transcript.append(
-            f"warning: product of orders {product} < n = {e.n}, recovery cannot be unique"
+            f"warning: product of orders {product} <= n = {e.n}, recovery cannot be unique"
         )
     # the (residue, g) pairs the tag allows, one list per answered round
     residues: list[list[tuple[int, int]]] = []
@@ -262,7 +260,11 @@ def invalid_curve_attack(
         transcript.append(
             f"g={g}: using point {w} of order {g} on companion curve b'={icp.b_prime}"
         )
-        crafted = SigncryptedText(rng.randbytes(16), w, rng.randrange(e.n))
+        crafted = SigncryptedText(
+            ciphertext=rng.randbytes(16),
+            ephemeral=w,
+            signature=rng.randrange(e.n),
+        )
         try:
             response = oracle(crafted, confirm_message)
         except (InvalidEphemeralKeyError, KeyControlError) as exc:
@@ -272,7 +274,6 @@ def invalid_curve_attack(
             transcript.append(f"g={g}: oracle returned no tag (verification failed)")
             continue
         _, tag = response
-        # stop at a match with j >= 1; after one at j = 0 keys are compared, not MACed
         matched, options = None, []
         for j, key in _key_walk(w, g, e):
             if matched is None and mac(key, confirm_message) == tag:
@@ -297,13 +298,14 @@ def invalid_curve_attack(
             )
         residues.append([(r, g) for r in options])
     d_b = _crt_finish(residues, pub_recipient, e)
-    transcript.append(
-        f"CRT over {len(residues)} residues: d_B = {d_b} verified against U_B" if d_b
-        else "no CRT sign combination matched U_B (order product too small?)" if residues
-        else "no residues collected, recipient never leaked a usable tag"
-    )
+    if d_b is not None:
+        transcript.append(f"CRT over {len(residues)} residues: d_B = {d_b} verified against U_B")
+    elif residues:
+        transcript.append("no CRT sign combination matched U_B (order product too small?)")
+    else:
+        transcript.append("no residues collected, recipient never leaked a usable tag")
     return AttackReport(
-        "invalid-curve", bool(d_b), {"d_B": d_b} if d_b else {},
+        "invalid-curve", d_b is not None, recovered={"d_B": d_b} if d_b is not None else {},
         oracle_queries=len(g_budget), trials=mac_trials, transcript=tuple(transcript),
     )
 

@@ -1,6 +1,6 @@
 """Mutation probe: which one-edit mutants of a module does a test subset miss?
 
-    python3 tools/mutation_probe.py src/hlslab/pki.py [TEST ...] [--lines 91,116]
+    python3 tools/mutation_probe.py src/hlslab/pki.py [TEST ...]
 
 Each mutant makes one edit to the module's syntax tree: it swaps one
 comparison (< and <=, > and >=, == and !=, is and is not, in and not in),
@@ -33,6 +33,7 @@ SWAPS = {
     ast.In: ast.NotIn, ast.NotIn: ast.In,
 }
 SHARED_TESTS = ["test_acceptance", "test_golden", "test_scenarios", "test_api", "test_cli"]
+MEMORY_MIB = 2048  # address-space cap of each test run
 
 
 def sites(tree: ast.Module) -> list[tuple[int, int, int, int, str]]:
@@ -73,9 +74,9 @@ def mutate(source: str, index: int, operand: int) -> str:
     return ast.unparse(ast.fix_missing_locations(tree))
 
 
-def run_tests(src: Path, tests: list[str], timeout: float, memory_mib: int) -> tuple[str, float]:
+def run_tests(src: Path, tests: list[str], timeout: float) -> tuple[str, float]:
     def limit_memory() -> None:
-        size = memory_mib * 1024 * 1024
+        size = MEMORY_MIB * 1024 * 1024
         resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -94,24 +95,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", type=Path, help="a module under src/, e.g. src/hlslab/pki.py")
     parser.add_argument("tests", nargs="*", help="test files or node ids (default: see above)")
-    parser.add_argument("--lines", help="comma-separated line numbers to mutate (default: all)")
-    parser.add_argument("--memory-mib", type=int, default=2048, help="address-space cap per run")
     args = parser.parse_args()
     module = args.module.resolve()
     relative = module.relative_to(ROOT / "src")
     tests = args.tests or [f"tests/{name}.py" for name in [f"test_{module.stem}", *SHARED_TESTS]]
     source = module.read_text()
     todo = sites(ast.parse(source))
-    if args.lines:
-        wanted = {int(n) for n in args.lines.split(",")}
-        todo = [site for site in todo if site[2] in wanted]
     work = Path(tempfile.mkdtemp(prefix="mutation-probe-"))
     try:
         src = work / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         # the baseline is the unmutated module as ast.unparse writes it
         (src / relative).write_text(ast.unparse(ast.parse(source)))
-        outcome, seconds = run_tests(src, tests, None, args.memory_mib)
+        outcome, seconds = run_tests(src, tests, None)
         if outcome != "survived":
             print(f"baseline fails: {' '.join(tests)}", file=sys.stderr)
             return 2
@@ -119,7 +115,7 @@ def main() -> int:
         survivors = 0
         for index, operand, line, column, description in todo:
             (src / relative).write_text(mutate(source, index, operand))
-            outcome, seconds = run_tests(src, tests, timeout, args.memory_mib)
+            outcome, seconds = run_tests(src, tests, timeout)
             survivors += outcome == "survived"
             print(f"{relative}:{line}:{column}: {description}: {outcome} ({seconds:.1f} s)",
                   flush=True)
